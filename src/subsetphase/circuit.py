@@ -109,11 +109,6 @@ def ccx_ladder_count(condition_size: int) -> int:
     return max(1, 2 * condition_size - 3)
 
 
-def ccx_ladder_depth(condition_size: int) -> int:
-    """Depth of the ladder expansion; equals its gate count."""
-    return ccx_ladder_count(condition_size)
-
-
 def ccx_ladder_ancillas(condition_size: int) -> int:
     """Virtual ancillas needed by the ladder (cost accounting only)."""
     return max(0, condition_size - 2)
@@ -185,27 +180,17 @@ def depth(c: Circuit, model: str = UNIT) -> int:
     if model == UNIT:
         return len(c.layers)
     if model == DECOMPOSED:
-        total = 0
-        for layer in c.layers:
-            worst = 1
-            for g in layer.gates:
-                size = len(g.controls) + (1 if g.kind == SIGNED_MCZ else 0)
-                cost = 2 * size - 3
-                if cost > worst:
-                    worst = cost
-            total += worst
-        return total
+        # an empty layer still costs one time step
+        return sum(
+            max((ccx_ladder_count(g.condition_size) for g in layer.gates), default=1)
+            for layer in c.layers
+        )
     raise ValueError(f"unknown depth model {model!r}")
 
 
 def ccx_equivalent_count(c: Circuit) -> int:
     """Total CCX-equivalents over all gates (additive over concatenation)."""
-    total = 0
-    for layer in c.layers:
-        for g in layer.gates:
-            size = len(g.controls) + (1 if g.kind == SIGNED_MCZ else 0)
-            total += 2 * size - 3 if size >= 2 else 1
-    return total
+    return sum(ccx_ladder_count(g.condition_size) for g in c.gates())
 
 
 def validate(c: Circuit) -> list[str]:
@@ -277,12 +262,32 @@ def circuit_to_obj(c: Circuit, tool_info: dict | None = None) -> dict:
 
 
 def circuit_from_obj(obj: dict) -> Circuit:
-    layers = tuple(
-        Layer((_gate_from_obj(g) for g in layer), check=False) for layer in obj["layers"]
-    )
+    """Circuit from its JSON object; malformed input raises ValueError
+    naming the layer, gate and key at fault."""
+    try:
+        n, layer_objs = int(obj["n"]), obj["layers"]
+    except KeyError as e:
+        raise ValueError(f"circuit is missing key {e.args[0]!r}") from None
+    except TypeError:
+        raise ValueError("circuit must be a JSON object") from None
+    if not isinstance(layer_objs, list):
+        raise ValueError("circuit layers must be a list")
+    layers = []
+    for li, layer in enumerate(layer_objs):
+        if not isinstance(layer, list):
+            raise ValueError(f"layer {li} is not a list of gates")
+        gates = []
+        for gi, g in enumerate(layer):
+            try:
+                gates.append(_gate_from_obj(g))
+            except KeyError as e:
+                raise ValueError(f"layer {li} gate {gi}: missing key {e.args[0]!r}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"layer {li} gate {gi}: {e}") from None
+        layers.append(Layer(gates, check=False))
     return Circuit(
-        n=int(obj["n"]),
-        layers=layers,
+        n=n,
+        layers=tuple(layers),
         generator=obj.get("generator", "unknown"),
         params=obj.get("params", {}),
         seed=int(obj.get("seed", 0)),
@@ -299,19 +304,24 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_json_atomic(path: str, obj: dict) -> None:
-    """Write canonical JSON via a temp file + rename in the target dir."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text via a temp file + rename in the target dir."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(dumps_canonical(obj))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, obj: dict) -> None:
+    """Write canonical JSON atomically."""
+    write_text_atomic(path, dumps_canonical(obj))
 
 
 def save_circuit(path: str, c: Circuit, tool_info: dict | None = None) -> None:

@@ -17,7 +17,6 @@ import io
 import math
 import os
 import sys
-import tempfile
 
 import click
 
@@ -30,6 +29,7 @@ from .circuit import (
     save_circuit,
     validate,
     write_json_atomic,
+    write_text_atomic,
 )
 from .copysim import apply_circuit, apply_circuit_recording, round_probes, sample_initial_copies
 from .f2linalg import (
@@ -60,20 +60,6 @@ def tool_info() -> dict:
 
 def _report_payload(config: dict, results: dict) -> dict:
     return {"tool": tool_info(), "config": config, "results": results}
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -233,7 +219,7 @@ def rank_mc(rows, cols, p, trials, seed, threads, fmt, out):
     else:
         header = ["rows", "cols", "p", "trials", "estimate", "ci_lo", "ci_hi", "seed"]
         row = [rows, cols, p, trials, est.estimate, est.ci95.lo, est.ci95.hi, seed]
-        _write_text_atomic(out, _csv_text(header, [row]))
+        write_text_atomic(out, _csv_text(header, [row]))
     click.echo(f"estimate {est.estimate:.6f} ci95 [{est.ci95.lo:.6f}, {est.ci95.hi:.6f}]")
 
 
@@ -271,7 +257,7 @@ def bounds(p_list, l_list, m_list, eps_list, trials, seed, out):
                     )
     header = ["p", "l", "m", "epsilon", "bound_closed", "bound_sequential",
               "mc_estimate", "mc_ci_lo", "mc_ci_hi", "trials", "seed"]
-    _write_text_atomic(out, _csv_text(header, rows))
+    write_text_atomic(out, _csv_text(header, rows))
     click.echo(f"wrote {out}: {len(rows)} parameter points")
 
 
@@ -441,7 +427,7 @@ def scaling(grid_spec, algorithm, seed, out):
                         ])
     header = ["algorithm", "n", "k", "t", "alpha", "m", "gates", "unit_depth",
               "decomposed_depth", "predicted_gates", "predicted_depth", "seed"]
-    _write_text_atomic(out, _csv_text(header, rows))
+    write_text_atomic(out, _csv_text(header, rows))
     click.echo(f"wrote {out}: {len(rows)} grid points")
 
 

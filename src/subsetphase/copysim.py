@@ -9,6 +9,10 @@ and batch-evaluates all sign gates of a layer, which is what makes
 10^4-10^6 trial sweeps run at desk timescales.
 
 Systems wider than 64 sites take a simple unfused per-gate path.
+
+``run_rounds`` skips gate objects altogether: it applies packed
+shared-condition rounds (``generators.gate_opt_program``) to a batch of
+trials at once, one compare and one XOR per round.
 """
 
 from __future__ import annotations
@@ -34,6 +38,21 @@ def _word_masks(n: int) -> np.ndarray:
         bits = min(64, max(0, n - lo))
         masks.append((1 << bits) - 1 if bits else 0)
     return np.array(masks, dtype=np.uint64)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack (rows, n) 0/1 values into (rows, words_needed(n)) uint64 words,
+    column j going to site j+1."""
+    rows, n = bits.shape
+    padded = np.zeros((rows, 64 * words_needed(n)), dtype=np.uint8)
+    padded[:, :n] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``pack_bits``: (rows, W) uint64 to (rows, n) uint8."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
 
 
 def _pack_terms_int(terms: Iterable[ControlTerm]) -> tuple[int, int]:
@@ -121,9 +140,7 @@ class CopyEnsemble:
 
     def bits(self) -> np.ndarray:
         """Unpacked view: (t, n) uint8 with column j holding site j+1."""
-        raw = self.copies.view(np.uint8)
-        un = np.unpackbits(raw, axis=1, bitorder="little")
-        return un[:, : self.n]
+        return unpack_bits(self.copies, self.n)
 
     def clone(self) -> "CopyEnsemble":
         return CopyEnsemble(self.n, self.copies.copy(), self.signs.copy(), check=False)
@@ -361,6 +378,34 @@ def _run_layers_wide(copies, signs, layers, probe_list, results) -> None:
         evaluate_probes(len(layers), pi)
 
 
+def run_rounds(
+    copies: np.ndarray,
+    masks: np.ndarray,
+    patterns: np.ndarray,
+    flips: np.ndarray,
+    record: int = 0,
+) -> np.ndarray:
+    """Apply shared-condition rounds to a batch of trials, in place.
+
+    ``copies`` is (B, t, W); ``masks``, ``patterns`` and ``flips`` are
+    (R, B, W), round r of trial b being ``[r, b]``.  A copy satisfies a
+    round when it equals the pattern on the mask; the round then XORs
+    its flips into that copy.  Exact only for rounds whose flips never
+    meet their own mask, as in ``generators.gate_opt_program``.
+
+    Returns the (B, t, record) satisfaction of the first ``record``
+    rounds: the condition matrix ``round_probes`` records for them.
+    """
+    recorded = np.empty((record, copies.shape[0], copies.shape[1]), dtype=bool)
+    zero = np.uint64(0)
+    for r in range(masks.shape[0]):
+        sat = np.all((copies & masks[r, :, None, :]) == patterns[r, :, None, :], axis=2)
+        if r < record:
+            recorded[r] = sat
+        copies ^= np.where(sat[:, :, None], flips[r, :, None, :], zero)
+    return recorded.transpose(1, 2, 0)
+
+
 def apply_circuit(e: CopyEnsemble, c: Circuit) -> CopyEnsemble:
     """Apply all layers left to right; gate order within a layer is
     irrelevant because layer supports are disjoint."""
@@ -403,12 +448,9 @@ def condition_matrix(e: CopyEnsemble, conditions: Sequence[Sequence[ControlTerm]
 
 
 def _columns_to_matrix(t: int, columns: Sequence[np.ndarray]) -> BitMatrix:
-    rows = [0] * t
-    for q, col in enumerate(columns):
-        bit = 1 << q
-        for p in np.flatnonzero(col):
-            rows[p] |= bit
-    return BitMatrix(t, len(columns), rows)
+    if not columns:
+        return BitMatrix.zeros(t, 0)
+    return BitMatrix.from_dense(np.stack(columns, axis=1))
 
 
 def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm]]]:

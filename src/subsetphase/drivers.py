@@ -7,23 +7,18 @@ the exact stream that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from concurrent.futures import ProcessPoolExecutor
 
 from . import subsetstate
-from .circuit import Circuit, ccx_equivalent_count
-from .copysim import (
-    CopyEnsemble,
-    apply_circuit,
-    apply_circuit_recording,
-    round_probes,
-    sample_initial_copies,
-)
+from .circuit import ccx_ladder_count
+from .copysim import CopyEnsemble, apply_circuit, run_rounds, sample_initial_copies, words_needed
 from .f2linalg import (
+    BitMatrix,
     MonteCarloEstimate,
     is_full_row_rank,
     rank,
@@ -34,6 +29,7 @@ from .generators import (
     GenParams,
     ceil_rounds,
     depth_opt_thermalizer,
+    gate_opt_program,
     gate_opt_thermalizer,
     sign_thermalizer,
 )
@@ -61,12 +57,9 @@ class BitBatteryResult:
         return all(self.distinct)
 
 
-def _bit_generator(algorithm: str) -> Callable[[GenParams], Circuit]:
-    if algorithm == "gate-opt":
-        return gate_opt_thermalizer
-    if algorithm == "depth-opt":
-        return depth_opt_thermalizer
-    raise ValueError(f"unknown bit thermalizer {algorithm!r}")
+# Trials simulated together by the gate-opt battery.  Results do not
+# depend on it: every trial keeps its own named streams.
+_TRIAL_BLOCK = 256
 
 
 def run_bit_battery(
@@ -85,29 +78,59 @@ def run_bit_battery(
     Each trial draws a fresh circuit and fresh initial copies.  With
     diagnostics on (gate-opt only), the stage-1 condition matrix is
     recorded through the run and its rank checked against t.
+
+    Gate-opt trials run as packed round programs through the batched
+    round kernel; depth-opt trials walk their ``Circuit``.  Every gate
+    carries m controls, so a trial's CCX total is its gate count times
+    the ladder cost.
     """
-    generator = _bit_generator(algorithm)
+    if algorithm == "gate-opt":
+        return _gate_opt_battery(n, k, t, m, alpha, trials, master_seed, diagnostics)
+    if algorithm != "depth-opt":
+        raise ValueError(f"unknown bit thermalizer {algorithm!r}")
     result = BitBatteryResult(ensembles=[])
-    per_gate_ccx = max(1, 2 * m - 3)
+    per_gate_ccx = ccx_ladder_count(m)
     for i in range(trials):
-        circuit = generator(
+        circuit = depth_opt_thermalizer(
             GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=derive_seed(master_seed, "bit-circuit", i))
         )
         copies = sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i))
-        if diagnostics and "rounds" in circuit.extra:
-            final, x = apply_circuit_recording(copies, circuit, round_probes(circuit, stage=1))
-            result.x_ranks.append(rank(x))
-            result.x_full_rank.append(is_full_row_rank(x))
-        else:
-            final = apply_circuit(copies, circuit)
+        final = apply_circuit(copies, circuit)
         result.ensembles.append(final)
         result.distinct.append(final.is_distinct())
-        # every gate carries m controls, so the CCX total is gate-count
-        # times the ladder cost; cross-checked on the first trials
-        ccx = circuit.gate_count * per_gate_ccx
-        if i < 8:
-            assert ccx == ccx_equivalent_count(circuit)
-        result.ccx_counts.append(ccx)
+        result.ccx_counts.append(circuit.gate_count * per_gate_ccx)
+    return result
+
+
+def _gate_opt_battery(
+    n: int, k: int, t: int, m: int, alpha: float, trials: int, master_seed: int, diagnostics: bool
+) -> BitBatteryResult:
+    result = BitBatteryResult(ensembles=[])
+    per_gate_ccx = ccx_ladder_count(m)
+    base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
+    rounds = base.rounds
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        block = range(lo, min(lo + _TRIAL_BLOCK, trials))
+        masks, patterns, flips = (
+            np.empty((2 * rounds, len(block), words_needed(n)), dtype=np.uint64) for _ in range(3)
+        )
+        gates = []
+        for b, i in enumerate(block):
+            prog = gate_opt_program(replace(base, seed=derive_seed(master_seed, "bit-circuit", i)))
+            masks[:, b], patterns[:, b], flips[:, b] = prog.masks, prog.patterns, prog.flips
+            gates.append(int(prog.fired.sum()))
+        initial = [sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i)) for i in block]
+        copies = np.stack([e.copies for e in initial])
+        recorded = run_rounds(copies, masks, patterns, flips, record=rounds if diagnostics else 0)
+        for b, e in enumerate(initial):
+            final = CopyEnsemble(n, copies[b], e.signs, check=False)
+            if diagnostics:
+                x = BitMatrix.from_dense(recorded[b])
+                result.x_ranks.append(rank(x))
+                result.x_full_rank.append(is_full_row_rank(x))
+            result.ensembles.append(final)
+            result.distinct.append(final.is_distinct())
+            result.ccx_counts.append(gates[b] * per_gate_ccx)
     return result
 
 

@@ -46,7 +46,8 @@ class BitMatrix:
         a = np.asarray(array, dtype=np.uint8) % 2
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        rows = [int(sum(int(b) << j for j, b in enumerate(row))) for row in a]
+        packed = np.packbits(a, axis=1, bitorder="little")
+        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return cls(a.shape[0], a.shape[1], rows)
 
     @classmethod

@@ -4,16 +4,17 @@ Five constructions, all pure functions of (parameters, seed):
 
 * ``rmc`` / ``prmc``: the primitive condition samplers (one shared
   condition per round, or p disjoint conditions for parallel rounds).
-* ``gate_opt_thermalizer``: two-stage serial bit thermalizer that keeps
-  the total gate count low.
+* ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
+  thermalizer that keeps the total gate count low, as packed round
+  arrays or as the equivalent ``Circuit``.
 * ``depth_opt_thermalizer``: staged parallel bit thermalizer that grows
   the control region geometrically to keep the depth low.
 * ``sign_thermalizer``: parallel signed-MCZ rounds that randomize the
   sign bits.
 
 Generation is fully decoupled from simulation: generators emit
-``Circuit`` values (plus round/stage metadata for diagnostics) and never
-touch ensemble state.
+``Circuit`` values (plus round/stage metadata for diagnostics) or, for
+gate-opt, packed round arrays, and never touch ensemble state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer
+from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer, ccx_ladder_count
+from .copysim import pack_bits, unpack_bits
 from .rng import stream
 
 _EMPTY_LAYER = Layer(())
@@ -85,12 +87,22 @@ def rmc(
     window = x2 - x1 + 1
     if not 1 <= m <= window:
         raise ValueError(f"m={m} exceeds window size {window}")
-    # a permutation prefix is a uniform distinct draw; one fused coin
-    # vector serves both the polarities and the mask
-    positions = np.sort(rng.permutation(window)[:m])
-    coins = rng.integers(0, 2, size=m + n - window, dtype=np.uint8)
+    picks, coins = _rmc_draw(n, window, m, rng)
+    positions = np.sort(picks)
     controls = [ControlTerm(x1 + int(p), int(v)) for p, v in zip(positions, coins[:m])]
     return controls, coins[m:]
+
+
+def _rmc_draw(n: int, window: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of one ``rmc`` round, unvalidated.
+
+    Returns the unsorted 0-based window offsets of the m controls and the
+    fused coin vector (m polarities, then the n - window target mask).
+    """
+    # a permutation prefix is a uniform distinct draw; one fused coin
+    # vector serves both the polarities and the mask
+    picks = rng.permutation(window)[:m]
+    return picks, rng.integers(0, 2, size=m + n - window, dtype=np.uint8)
 
 
 def _prmc_raw(
@@ -139,18 +151,31 @@ def _sorted_controls(terms: list[ControlTerm]) -> tuple[ControlTerm, ...]:
     return tuple(sorted(terms, key=lambda c: c.position))
 
 
-def gate_opt_thermalizer(gp: GenParams) -> Circuit:
-    """Two-stage serial bit thermalizer.
+@dataclass(frozen=True)
+class GateOptProgram:
+    """Array form of one gate-opt thermalizer: its 2R rounds, stage 1 first.
 
-    Stage 1 runs ``rounds`` shared-condition rounds with controls drawn
-    from [1, k]; each round emits one m-MCX per target site in [k+1, n]
-    whose mask bit is set (all gates of a round share the round's
-    condition).  Stage 2 mirrors the construction with controls in
-    [k+1, n] and targets in [1, k].
+    Round r flips every site set in ``flips[r]`` on the copies that match
+    ``patterns[r]`` on the sites set in ``masks[r]``; ``fired[r]`` counts
+    its targets (the round's gate count).  Rows are packed like copies
+    (site i in bit (i-1) % 64 of word (i-1) // 64).  A round's targets
+    never meet its own condition sites.
+    """
 
-    The serial target sweep keeps one scheduling slot (one layer, empty
-    when the mask bit is 0) per candidate target, so the layer count is
-    rounds * n for every seed; only gate presence is random.
+    masks: np.ndarray
+    patterns: np.ndarray
+    flips: np.ndarray
+    fired: np.ndarray
+
+
+def gate_opt_program(gp: GenParams) -> GateOptProgram:
+    """Draw the two-stage serial bit thermalizer as packed round arrays.
+
+    Stage 1 runs ``rounds`` shared-condition rounds (``rmc``) with m
+    controls drawn from [1, k] and a target mask over [k+1, n]; stage 2
+    mirrors it with controls in [k+1, n] and targets in [1, k].  This is
+    the only consumer of the gate-opt stream: ``gate_opt_thermalizer`` and
+    ``gate_opt_cost_profile`` are views of its result.
     """
     n, k, m = gp.n, gp.k, gp.m
     if m > k:
@@ -159,24 +184,62 @@ def gate_opt_thermalizer(gp: GenParams) -> Circuit:
         raise ValueError("gate-opt requires m <= n-k (stage-2 controls live in [k+1, n])")
     rng = stream(gp.seed, "gen", "gate-opt")
     rounds = gp.rounds
+    condition = np.zeros((2 * rounds, n), dtype=np.uint8)
+    pattern = np.zeros((2 * rounds, n), dtype=np.uint8)
+    targets = np.zeros((2 * rounds, n), dtype=np.uint8)
+    for stage, (x1, window, t_lo, t_hi) in enumerate(((1, k, k, n), (k + 1, n - k, 0, k))):
+        draws = [_rmc_draw(n, window, m, rng) for _ in range(rounds)]
+        rows = slice(stage * rounds, (stage + 1) * rounds)
+        # as in rmc, the j-th smallest position takes the j-th polarity coin
+        sites = np.sort(np.array([picks for picks, _ in draws]), axis=1) + (x1 - 1)
+        coins = np.array([c for _, c in draws])
+        np.put_along_axis(condition[rows], sites, 1, axis=1)
+        np.put_along_axis(pattern[rows], sites, coins[:, :m], axis=1)
+        targets[rows, t_lo:t_hi] = coins[:, m:]
+    return GateOptProgram(
+        masks=pack_bits(condition),
+        patterns=pack_bits(pattern),
+        flips=pack_bits(targets),
+        fired=targets.sum(axis=1, dtype=np.int64),
+    )
+
+
+def gate_opt_thermalizer(gp: GenParams) -> Circuit:
+    """Two-stage serial bit thermalizer as a ``Circuit`` (export view of
+    ``gate_opt_program``).
+
+    Each round emits one m-MCX per target site whose mask bit is set, all
+    sharing the round's condition.  The serial target sweep keeps one
+    scheduling slot (one layer, empty when the mask bit is 0) per
+    candidate target, so the layer count is rounds * n for every seed;
+    only gate presence is random.
+    """
+    prog = gate_opt_program(gp)
+    n, k, rounds = gp.n, gp.k, gp.rounds
+    condition = unpack_bits(prog.masks, n)
+    pattern = unpack_bits(prog.patterns, n)
+    targets = unpack_bits(prog.flips, n)
+    # every round has exactly m condition sites; nonzero walks them in
+    # ascending order, row by row
+    cond_rows, cond_cols = np.nonzero(condition)
+    sites = (cond_cols + 1).reshape(2 * rounds, gp.m).tolist()
+    values = pattern[cond_rows, cond_cols].reshape(2 * rounds, gp.m).tolist()
     layers: list[Layer] = []
     rounds_meta: list[dict] = []
-    for stage, x1, x2, target_first in ((1, 1, k, k + 1), (2, k + 1, n, 1)):
-        width = n - (x2 - x1 + 1)
-        for _ in range(rounds):
-            controls, mask = rmc(n, x1, x2, m, rng)
-            rounds_meta.append(
-                {
-                    "stage": stage,
-                    "layer": len(layers),
-                    "controls": [[c.position, c.required_value] for c in controls],
-                }
-            )
-            shared = tuple(controls)
-            block = [_EMPTY_LAYER] * width
-            for idx in np.flatnonzero(mask):
-                block[idx] = Layer((Gate(MCX, shared, target_first + int(idx)),), check=False)
-            layers.extend(block)
+    for r in range(2 * rounds):
+        stage, target_first, width = (1, k + 1, n - k) if r < rounds else (2, 1, k)
+        controls = tuple(ControlTerm(p, v) for p, v in zip(sites[r], values[r]))
+        rounds_meta.append(
+            {
+                "stage": stage,
+                "layer": len(layers),
+                "controls": [list(pv) for pv in zip(sites[r], values[r])],
+            }
+        )
+        block = [_EMPTY_LAYER] * width
+        for site in np.flatnonzero(targets[r]).tolist():
+            block[site + 1 - target_first] = Layer((Gate(MCX, controls, site + 1),), check=False)
+        layers.extend(block)
     extra = {"rounds": rounds_meta, "stage2_first_layer": rounds * (n - k)}
     return Circuit(
         n=n,
@@ -324,28 +387,12 @@ class CostMeasurement:
     ccx_count: int
 
 
-def _ladder(condition_size: int) -> int:
-    return max(1, 2 * condition_size - 3)
-
-
 def gate_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``gate_opt_thermalizer(gp)`` without materializing gates.
-
-    Consumes exactly the same random stream as the full generator, so
-    the counts match the real circuit's metrics for every seed.
-    """
-    n, k, m = gp.n, gp.k, gp.m
-    if m > k or m > n - k:
-        raise ValueError("gate-opt requires m <= min(k, n-k)")
-    rng = stream(gp.seed, "gen", "gate-opt")
-    rounds = gp.rounds
-    cost = _ladder(m)
-    gates = 0
-    for x1, x2 in ((1, k), (k + 1, n)):
-        for _ in range(rounds):
-            _, mask = rmc(n, x1, x2, m, rng)
-            gates += int(mask.sum())
-    slots = rounds * n
+    """Costs of ``gate_opt_thermalizer(gp)`` from its program, without
+    materializing gates."""
+    gates = int(gate_opt_program(gp).fired.sum())
+    cost = ccx_ladder_count(gp.m)
+    slots = gp.rounds * gp.n
     return CostMeasurement(gates, slots, gates * cost + (slots - gates), gates * cost)
 
 
@@ -355,7 +402,7 @@ def depth_opt_cost_profile(gp: GenParams) -> CostMeasurement:
     stages = _depth_opt_stages(n, k, m)
     rng = stream(gp.seed, "gen", "depth-opt")
     rounds = gp.rounds
-    cost = _ladder(m)
+    cost = ccx_ladder_count(m)
     gates = 0
     decomposed = 0
     for x1, x2, p, slots, _base in stages:
@@ -371,7 +418,7 @@ def sign_cost_profile(n: int, p: int, alpha: float, t: int, m: int, seed: int = 
     """Costs of ``sign_thermalizer(...)``; same stream, no gates."""
     rng = stream(seed, "gen", "sign")
     n_layers = ceil_rounds(alpha * t / p)
-    cost = _ladder(m)  # m-site condition: m-1 controls plus the signed target
+    cost = ccx_ladder_count(m)  # m-site condition: m-1 controls plus the signed target
     gates = 0
     decomposed = 0
     for _ in range(n_layers):

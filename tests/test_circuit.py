@@ -216,6 +216,38 @@ class TestJsonRoundTrip:
         assert got.target_value == 1
 
 
+class TestMalformedJson:
+    def gate_obj(self):
+        return circuit_to_obj(Circuit(n=4, layers=(Layer(()), Layer([ccx(1, 2, 4)]))))
+
+    def test_missing_gate_key_names_layer_gate_and_key(self):
+        obj = self.gate_obj()
+        del obj["layers"][1][0]["controls"]
+        with pytest.raises(ValueError, match="layer 1 gate 0: missing key 'controls'"):
+            circuit_from_obj(obj)
+
+    def test_missing_circuit_key(self):
+        obj = self.gate_obj()
+        del obj["n"]
+        with pytest.raises(ValueError, match="missing key 'n'"):
+            circuit_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2],
+            {"n": 4, "layers": 3},
+            {"n": 4, "layers": [5]},
+            {"n": 4, "layers": [[["not", "a", "gate"]]]},
+            {"n": 4, "layers": [[{"kind": "mcx", "controls": [{"pos": "x", "val": 1}], "target": 2}]]},
+            {"n": 4, "layers": [[{"kind": "cnot", "controls": [], "target": 2}]]},
+        ],
+    )
+    def test_wrong_types_raise_value_error(self, obj):
+        with pytest.raises(ValueError):
+            circuit_from_obj(obj)
+
+
 class TestDepthModelInvariant:
     def test_decomposed_at_least_unit(self):
         from subsetphase.rng import stream

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -117,6 +118,18 @@ class TestSim:
         run_cli(*args, "--report", str(r1))
         run_cli(*args, "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_gate_missing_key_exits_1_without_traceback(self, tmp_path):
+        circ = tmp_path / "c.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        obj = read_json(circ)
+        layer = next(i for i, layer in enumerate(obj["layers"]) if layer)
+        del obj["layers"][layer][0]["controls"]
+        circ.write_text(json.dumps(obj))
+        res = run_cli("sim", "--circuit", str(circ), "--report", str(tmp_path / "r.json"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"layer {layer} gate 0: missing key 'controls'" in res.stderr
 
     def test_unreadable_circuit_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -259,3 +272,59 @@ class TestMoments:
         results = read_json(rep)["results"]
         # two independent oracle runs: close but not identical
         assert abs(results["td_empirical"] - results["td_oracle_baseline"]) < 0.1
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Fixed-seed artifacts pinned by SHA-256.  The digests were recorded
+    from the per-trial ``Circuit`` implementation of the bit battery and
+    the ``rmc``-replay cost profile; a change here means the random
+    streams or the report layout moved."""
+
+    BITS = ["verify", "--suite", "bits", "--n", "20", "--k", "8", "--t", "4", "--alpha", "4",
+            "--m", "2", "--trials", "1000", "--seed", "11"]
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (BITS + ["--algorithm", "gate-opt"],
+             "38d4b52fa85d3a0a95b001d89bf1b7766a32a14eedadbc7446c275dff4860b4c"),
+            (BITS + ["--algorithm", "depth-opt"],
+             "150655447b5224d0bb54e5b8d2b35bbcfe6d42928d4a62a93d150cd96bcf1d64"),
+            # two words per copy
+            (["verify", "--suite", "bits", "--algorithm", "gate-opt", "--n", "70", "--k", "10",
+              "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
+             "864ca675fd37bfb88cf81ad5712941935e5d02b850db1928d4920ddad7216be6"),
+        ],
+    )
+    def test_verify_bits_report(self, tmp_path, args, digest):
+        rep = tmp_path / "v.json"
+        res = run_cli(*args, "--report", str(rep))
+        assert res.returncode == 0, res.stderr
+        assert sha256(rep) == digest
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (["gen", "--algorithm", "gate-opt", "--n", "40", "--k", "12", "--t", "4",
+              "--alpha", "3", "--m", "2", "--seed", "5", "--out"],
+             "4231e2eb370c8560ad196a9ce83b70c7b57166325e057ecb5a68e431568ef1b6"),
+            (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "gate-opt",
+              "--seed", "3", "--out"],
+             "9b00c7b5411a440d7736229d46066b3d576088a07b368abb84a38c5ecea5c4aa"),
+            (["bounds", "--p", "0.25", "--l", "4,6", "--m", "24", "--epsilon", "0.5",
+              "--trials", "300", "--seed", "1", "--out"],
+             "69dd319bc68ec03061c363dc942f5a54c0cf83e74222759a221e38926df2d56c"),
+            (["rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
+              "--seed", "4", "--format", "csv", "--out"],
+             "aae18663d62b5914e4fbbb40d418daba28d0a4488502f0708e418b3491bf6795"),
+        ],
+    )
+    def test_written_file(self, tmp_path, args, digest):
+        out = tmp_path / "out"
+        res = run_cli(*args, str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == digest

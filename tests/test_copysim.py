@@ -8,12 +8,21 @@ from subsetphase.copysim import (
     apply_circuit_recording,
     apply_gate,
     condition_matrix,
+    pack_bits,
     round_probes,
+    run_rounds,
     sample_initial_copies,
+    unpack_bits,
     words_needed,
 )
 from subsetphase.f2linalg import rank
-from subsetphase.generators import GenParams, depth_opt_thermalizer, gate_opt_thermalizer
+from subsetphase.f2linalg import BitMatrix
+from subsetphase.generators import (
+    GenParams,
+    depth_opt_thermalizer,
+    gate_opt_program,
+    gate_opt_thermalizer,
+)
 from subsetphase.rng import stream
 from test_circuit import ccx, mcx, random_circuit
 
@@ -256,6 +265,46 @@ class TestConditionMatrix:
             if rank(x) == 4:
                 full += 1
         assert full >= 29
+
+
+class TestRunRounds:
+    @pytest.mark.parametrize("n,k,t,m", [(20, 8, 4, 2), (64, 24, 8, 3), (130, 40, 5, 2)])
+    def test_batch_matches_circuit_walk(self, n, k, t, m):
+        gps = [GenParams(n=n, k=k, t=t, alpha=2.0, m=m, seed=s) for s in range(5)]
+        programs = [gate_opt_program(gp) for gp in gps]
+        initial = [sample_initial_copies(n, k, t, stream(16, "rounds", s)) for s in range(5)]
+        copies = np.stack([e.copies for e in initial])
+        recorded = run_rounds(
+            copies,
+            *(np.stack([getattr(p, f) for p in programs], axis=1) for f in ("masks", "patterns", "flips")),
+            record=gps[0].rounds,
+        )
+        assert recorded.shape == (5, t, gps[0].rounds)
+        for b, (gp, e) in enumerate(zip(gps, initial)):
+            c = gate_opt_thermalizer(gp)
+            final, x = apply_circuit_recording(e, c, round_probes(c, stage=1))
+            assert np.array_equal(copies[b], final.copies)
+            assert BitMatrix.from_dense(recorded[b]) == x
+
+    def test_no_recording(self):
+        gp = GenParams(n=16, k=6, t=3, alpha=2.0, m=2, seed=1)
+        p = gate_opt_program(gp)
+        e = sample_initial_copies(16, 6, 3, stream(17, "rounds"))
+        copies = e.copies[None].copy()
+        recorded = run_rounds(copies, p.masks[:, None], p.patterns[:, None], p.flips[:, None])
+        assert recorded.shape == (1, 3, 0)
+        assert np.array_equal(copies[0], apply_circuit(e, gate_opt_thermalizer(gp)).copies)
+
+
+class TestPackBits:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_roundtrip_and_layout(self, n):
+        bits = stream(18, "pack", n).integers(0, 2, size=(7, n), dtype=np.uint8)
+        words = pack_bits(bits)
+        assert words.shape == (7, words_needed(n)) and words.dtype == np.uint64
+        assert np.array_equal(unpack_bits(words, n), bits)
+        ints = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
+        assert CopyEnsemble(n, words, np.ones(7, dtype=np.int8), check=False).to_ints() == ints
 
 
 class TestEnsembleBasics:

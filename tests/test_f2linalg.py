@@ -283,6 +283,12 @@ class TestBitMatrixBasics:
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         assert np.array_equal(BitMatrix.from_dense(a).to_dense(), a)
 
+    def test_from_dense_packs_column_j_into_bit_j(self):
+        a = stream(19, "dense").integers(0, 2, size=(5, 70), dtype=np.uint8)
+        m = BitMatrix.from_dense(a)
+        assert m.row_ints == [sum(int(b) << j for j, b in enumerate(row)) for row in a]
+        assert BitMatrix.from_dense(np.zeros((3, 0), dtype=bool)) == BitMatrix.zeros(3, 0)
+
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             BitMatrix(1, 2, [4])

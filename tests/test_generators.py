@@ -8,12 +8,16 @@ from subsetphase.circuit import (
     MCX,
     SIGNED_MCZ,
     UNIT,
+    Circuit,
+    Gate,
+    Layer,
     ccx_equivalent_count,
     circuit_to_obj,
     depth,
     dumps_canonical,
     validate,
 )
+from subsetphase.copysim import unpack_bits
 from subsetphase.generators import (
     GenParams,
     ceil_rounds,
@@ -21,6 +25,7 @@ from subsetphase.generators import (
     depth_opt_stage_count,
     depth_opt_thermalizer,
     gate_opt_cost_profile,
+    gate_opt_program,
     gate_opt_thermalizer,
     prmc,
     rmc,
@@ -198,6 +203,61 @@ class TestGateOpt:
     def test_rejects_m_larger_than_windows(self):
         with pytest.raises(ValueError):
             gate_opt_thermalizer(GenParams(n=8, k=6, t=1, alpha=1.0, m=3, seed=0))  # m > n-k
+
+
+def rmc_gate_opt_reference(gp: GenParams) -> Circuit:
+    """Round-by-round ``rmc`` construction of the gate-opt circuit: the
+    reference for the program and its export view."""
+    n, k, m = gp.n, gp.k, gp.m
+    rng = stream(gp.seed, "gen", "gate-opt")
+    layers, meta = [], []
+    for stage, x1, x2, target_first in ((1, 1, k, k + 1), (2, k + 1, n, 1)):
+        for _ in range(gp.rounds):
+            controls, mask = rmc(n, x1, x2, m, rng)
+            meta.append({"stage": stage, "layer": len(layers),
+                         "controls": [[c.position, c.required_value] for c in controls]})
+            for idx, bit in enumerate(mask):
+                gates = (Gate(MCX, tuple(controls), target_first + idx),) if bit else ()
+                layers.append(Layer(gates))
+    extra = {"rounds": meta, "stage2_first_layer": gp.rounds * (n - k)}
+    return Circuit(n=n, layers=tuple(layers), generator="gate-opt", params=gp.as_dict(),
+                   seed=gp.seed, extra=extra)
+
+
+class TestGateOptProgram:
+    SHAPES = [(12, 5, 2, 2.0, 3), (64, 24, 8, 6.0, 2), (100, 30, 6, 4.0, 3), (130, 64, 3, 2.0, 4)]
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", SHAPES)
+    def test_export_view_equals_rmc_reference(self, n, k, t, alpha, m):
+        for seed in range(3):
+            gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
+            got, want = gate_opt_thermalizer(gp), rmc_gate_opt_reference(gp)
+            assert got.layers == want.layers
+            assert got.extra == want.extra
+            assert dumps_canonical(circuit_to_obj(got)) == dumps_canonical(circuit_to_obj(want))
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", SHAPES)
+    def test_round_arrays(self, n, k, t, alpha, m):
+        gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=4)
+        prog = gate_opt_program(gp)
+        shape = (2 * gp.rounds, (n + 63) // 64)
+        for a in (prog.masks, prog.patterns, prog.flips):
+            assert a.shape == shape and a.dtype == np.uint64
+        cond, flips = unpack_bits(prog.masks, n), unpack_bits(prog.flips, n)
+        assert np.all(cond.sum(axis=1) == m)
+        assert np.all(prog.patterns & ~prog.masks == 0)
+        # a round's targets never meet its own condition
+        assert np.all(prog.masks & prog.flips == 0)
+        assert np.array_equal(prog.fired, flips.sum(axis=1))
+        stage1, stage2 = slice(0, gp.rounds), slice(gp.rounds, None)
+        assert not cond[stage1, k:].any() and not flips[stage1, :k].any()
+        assert not cond[stage2, :k].any() and not flips[stage2, k:].any()
+
+    def test_rejects_m_above_windows(self):
+        with pytest.raises(ValueError):
+            gate_opt_program(GenParams(n=8, k=6, t=1, alpha=1.0, m=3, seed=0))
+        with pytest.raises(ValueError):
+            gate_opt_program(GenParams(n=8, k=2, t=1, alpha=1.0, m=3, seed=0))
 
 
 class TestDepthOpt:
