@@ -31,8 +31,9 @@ from .circuit import (
     write_json_atomic,
     write_text_atomic,
 )
-from .copysim import apply_circuit, apply_circuit_recording, round_probes, sample_initial_copies
+from .copysim import compile_circuit, round_probes, run_steps, sample_initial_copies, words_needed
 from .f2linalg import (
+    BitMatrix,
     RankBoundParams,
     full_rank_probability_bound,
     full_rank_probability_sequential,
@@ -148,17 +149,16 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
         if "rounds" not in circuit.extra:
             raise click.ClickException("--diagnostics rank needs a circuit with recorded rounds")
         probes = round_probes(circuit, stage=1)
+    program = compile_circuit(circuit.layers, words_needed(n), probes or ())
     bit_totals = None
     ranks: list[int] = []
     distinct: list[bool] = []
     sign_flip_rate = 0.0
     for i in range(trials):
-        copies = sample_initial_copies(n, k, t, stream(seed, "sim-copies", i))
+        final = sample_initial_copies(n, k, t, stream(seed, "sim-copies", i))
+        recorded = run_steps(program, final.copies[None], final.signs[None])
         if probes is not None:
-            final, x = apply_circuit_recording(copies, circuit, probes)
-            ranks.append(rank(x))
-        else:
-            final = apply_circuit(copies, circuit)
+            ranks.append(rank(BitMatrix.from_dense(recorded[0])))
         bits = final.bits()
         bit_totals = bits.astype("int64") if bit_totals is None else bit_totals + bits
         distinct.append(final.is_distinct())
@@ -345,6 +345,7 @@ def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict,
     elif suite == "signs":
         if p is None:
             raise click.UsageError("signs suite requires --p")
+        stats.check_sign_trials(trials)
         run = drivers.run_sign_trials(n, p, alpha, t, m, trials, seed)
         reports.append(stats.sign_vector_test(run.sign_vectors, min(t, 8), seed=seed))
     else:

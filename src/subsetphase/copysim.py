@@ -1,22 +1,27 @@
 """Exact classical evolution of t distinct signed bitstrings.
 
 Copies are bit-packed into uint64 words (site i lives in bit i-1 of word
-(i-1)//64), so a gate application is a masked compare plus a masked flip
-over all t copies at once.  The circuit walker additionally fuses
-consecutive MCX gates that share one condition (the hot pattern emitted
-by the serial bit thermalizer: its round's gates differ only in target)
-and batch-evaluates all sign gates of a layer, which is what makes
-10^4-10^6 trial sweeps run at desk timescales.
+(i-1)//64).  Every simulation runs through one kernel, ``run_steps``.  A
+circuit compiles into rows ``(mask, pattern, flips, diagonal)`` in
+circuit order: a copy satisfies a row when it equals the pattern on the
+mask, and then XORs in the row's flips and, for a diagonal (signed MCZ)
+row, negates its sign.  A probe is a row that changes nothing and whose
+satisfaction is recorded.
 
-Systems wider than 64 sites take a simple unfused per-gate path.
-
-``run_rounds`` skips gate objects altogether: it applies packed
-shared-condition rounds (``generators.gate_opt_program``) to a batch of
-trials at once, one compare and one XOR per round.
+Rows group into steps: a new step starts at a row whose mask meets a
+site that an earlier row of the current step flips.  No row of a step
+reads a site the step writes, so all its rows are evaluated against the
+state at the step's start; XOR commutes and sign products commute, so
+their flips and sign flips apply in any order.  Splitting a step further
+is exact too, which lets the kernel evaluate bounded chunks of rows and
+lets a batch of trials, each with its own rows, split on their union.
+The rule is the same at every word count.  ``apply_gate`` is the
+per-gate reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,18 +58,6 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``pack_bits``: (rows, W) uint64 to (rows, n) uint8."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
-
-
-def _pack_terms_int(terms: Iterable[ControlTerm]) -> tuple[int, int]:
-    """(mask, pattern) of a condition as plain ints (single-word systems)."""
-    mask = 0
-    pat = 0
-    for c in terms:
-        b = 1 << (c.position - 1)
-        mask |= b
-        if c.required_value:
-            pat |= b
-    return mask, pat
 
 
 def _pack_terms_words(terms: Iterable[ControlTerm], W: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -205,7 +198,7 @@ def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> C
 
 
 def apply_gate(e: CopyEnsemble, g: Gate) -> CopyEnsemble:
-    """Apply one gate to every copy (reference semantics, unfused).
+    """Apply one gate to every copy (reference semantics, one gate at a time).
 
     MCX flips the target bit of every copy matching all controls; the
     signed MCZ negates the sign of every copy matching all controls and
@@ -238,182 +231,173 @@ def _satisfied_words(copies: np.ndarray, mask: tuple[int, ...], pat: tuple[int, 
     return sat
 
 
+# Largest temporary of the step kernel, in (trial, copy, row, word)
+# cells: every step is evaluated in chunks of rows that stay below it.
+_CHUNK_CELLS = 1 << 16
+
+
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def pack_sites(sites, W: int) -> np.ndarray:
+    """Pack 1-based sites along the last axis into W uint64 words per
+    group, laid out like copies: (..., k) to (..., W).  Site 0 sets no
+    bit, so groups of unequal size pad with it."""
+    word, bit = np.divmod(np.asarray(sites, dtype=np.int64) - 1, 64)
+    bits = _BITS[bit]
+    out = np.empty(word.shape[:-1] + (W,), dtype=np.uint64)
+    for w in range(W):
+        # padding has word -1, which matches no word
+        np.bitwise_or.reduce(np.where(word == w, bits, np.uint64(0)), axis=-1, out=out[..., w])
+    return out
+
+
+@dataclass(frozen=True)
+class StepProgram:
+    """Rows in circuit order, grouped into steps, ready for ``run_steps``.
+
+    ``masks``, ``patterns`` and ``flips`` are (R, W) uint64 rows shared by
+    every trial, or (B, R, W) with one row set per trial.  ``diagonal``,
+    (R,) or (B, R), marks the rows whose satisfaction negates the sign.
+    ``record`` lists the rows whose satisfaction ``run_steps`` returns,
+    in column order, and ``starts`` the first row of every step.
+    """
+
+    masks: np.ndarray
+    patterns: np.ndarray
+    flips: np.ndarray
+    diagonal: np.ndarray
+    record: np.ndarray
+    starts: tuple[int, ...]
+
+
+def step_program(masks, patterns, flips, diagonal=None, record=()) -> StepProgram:
+    """Group rows into steps.  Per-trial rows split where any trial's
+    rows would, which is exact for every trial."""
+    masks, patterns, flips = (np.asarray(a, dtype=np.uint64) for a in (masks, patterns, flips))
+    rows = masks.shape[-2]
+    reads, writes = (a if a.ndim == 2 else np.bitwise_or.reduce(a, axis=0) for a in (masks, flips))
+    starts = []
+    s = 0
+    while s < rows:
+        starts.append(s)
+        # written[i]: every site flipped by rows s .. s+i
+        written = np.bitwise_or.accumulate(writes[s:-1], axis=0)
+        clash = np.any(reads[s + 1:] & written, axis=1)
+        s = s + 1 + int(np.argmax(clash)) if clash.any() else rows
+    if diagonal is None:
+        diagonal = np.zeros(rows, dtype=bool)
+    return StepProgram(
+        masks, patterns, flips, np.asarray(diagonal, dtype=bool),
+        np.asarray(record, dtype=np.intp), tuple(starts),
+    )
+
+
+def compile_circuit(
+    layers: Sequence, W: int, probes: Sequence[tuple[int, Sequence[ControlTerm]]] = ()
+) -> StepProgram:
+    """Rows of ``layers`` for ``run_steps``, with one recorded row per probe.
+
+    ``probes`` are (layer_index, condition) pairs; each condition is
+    evaluated against the state just before that layer applies (an index
+    equal to len(layers) probes the final state).  Columns come back in
+    probe order.
+    """
+    at_layer: dict[int, list[int]] = {}
+    for slot, (li, _) in enumerate(probes):
+        if not 0 <= li <= len(layers):
+            raise ValueError("probe layer index out of range")
+        at_layer.setdefault(li, []).append(slot)
+    conditions: list[Sequence[ControlTerm]] = []
+    flip_sites: list[int] = []  # 0: the row flips nothing
+    diagonal: list[bool] = []
+    record = [0] * len(probes)
+    for li in range(len(layers) + 1):
+        for slot in at_layer.get(li, ()):
+            record[slot] = len(conditions)
+            conditions.append(probes[slot][1])
+            flip_sites.append(0)
+            diagonal.append(False)
+        if li == len(layers):
+            break
+        for g in layers[li].gates:
+            mcx = g.kind == MCX
+            conditions.append(g.controls if mcx else _full_condition(g))
+            flip_sites.append(g.target if mcx else 0)
+            diagonal.append(not mcx)
+    width = max(map(len, conditions), default=0)
+    sites = np.array(
+        [[c.position for c in terms] + [0] * (width - len(terms)) for terms in conditions],
+        dtype=np.int64,
+    ).reshape(len(conditions), width)
+    # the sites that must hold 1; the others pad with 0
+    ones = np.array(
+        [[c.position * c.required_value for c in terms] + [0] * (width - len(terms)) for terms in conditions],
+        dtype=np.int64,
+    ).reshape(len(conditions), width)
+    return step_program(
+        pack_sites(sites, W),
+        pack_sites(ones, W),
+        pack_sites(np.array(flip_sites, dtype=np.int64)[:, None], W),
+        diagonal,
+        record,
+    )
+
+
+def run_steps(prog: StepProgram, copies: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``prog`` to (B, t, W) copies and (B, t) signs, in place.
+
+    ``signs`` may be omitted when no row is diagonal.  Returns the
+    (B, t, len(prog.record)) satisfaction of the recorded rows.
+    """
+    B, t, W = copies.shape
+    rows = prog.masks.shape[-2]
+    # rows first, (rows, B or 1, 1[, W]): per-row results then reduce over
+    # the outer axis, which numpy does at full speed
+    masks, patterns, flips, diagonal = (
+        (a[:, None] if a.ndim == nd else np.swapaxes(a, 0, 1))[:, :, None]
+        for a, nd in ((prog.masks, 2), (prog.patterns, 2), (prog.flips, 2), (prog.diagonal, 1))
+    )
+    writes = np.any(flips, axis=(1, 2, 3))
+    recorded = np.empty((B, t, len(prog.record)), dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // (B * t * W))
+    zero = np.uint64(0)
+    for start, end in zip(prog.starts, prog.starts[1:] + (rows,)):
+        for lo in range(start, end, chunk):
+            hi = min(lo + chunk, end)
+            sat = np.all((copies & masks[lo:hi]) == patterns[lo:hi], axis=3)
+            if prog.record.size:
+                here = (prog.record >= lo) & (prog.record < hi)
+                recorded[:, :, here] = sat[prog.record[here] - lo].transpose(1, 2, 0)
+            diag = diagonal[lo:hi]
+            if diag.any():
+                np.negative(signs, out=signs, where=np.bitwise_xor.reduce(sat & diag, axis=0))
+            if writes[lo:hi].any():
+                copies ^= np.bitwise_xor.reduce(np.where(sat[..., None], flips[lo:hi], zero), axis=0)
+    return recorded
+
+
 def evolve_arrays(
     copies: np.ndarray,
     signs: np.ndarray,
     layers: Sequence,
     probes: Sequence[tuple[int, Sequence[ControlTerm]]] = (),
 ) -> list[np.ndarray]:
-    """Run layers over (copies, signs) in place; shared kernel.
+    """Run layers over (t, W) copies and (t,) signs in place.
 
-    ``probes`` are (layer_index, condition) pairs; each condition is
-    evaluated against the state just before that layer applies (an index
-    equal to len(layers) probes the final state).  Returns the per-probe
-    satisfaction vectors in probe order.
+    ``probes`` are (layer_index, condition) pairs as in
+    ``compile_circuit``.  Returns the per-probe satisfaction vectors in
+    probe order.
     """
-    # (layer, original slot, condition) ascending by layer, walked with a
-    # single pointer so layers without probes only pay an int compare
-    probe_list = sorted(
-        (li, slot, terms) for slot, (li, terms) in enumerate(probes)
-    )
-    for li, _, _ in probe_list:
-        if not 0 <= li <= len(layers):
-            raise ValueError("probe layer index out of range")
-    results: list[np.ndarray | None] = [None] * len(probes)
-    if copies.shape[1] == 1:
-        _run_layers_w1(copies, signs, layers, probe_list, results)
-    else:
-        _run_layers_wide(copies, signs, layers, probe_list, results)
-    return results  # type: ignore[return-value]
-
-
-def _run_layers_w1(copies, signs, layers, probe_list, results) -> None:
-    """Single-word hot path with shared-condition fusion.
-
-    Consecutive MCX gates carrying the same (mask, pattern) reuse one
-    satisfaction vector and accumulate their target flips into one XOR
-    word; the flips commit ("flush") before anything re-reads state: a
-    differently-conditioned gate, any sign gate, a probe, or the end.
-    Correct because a fused run's targets never intersect its own
-    condition mask, so deferred flips cannot invalidate the cached
-    satisfaction vector.
-    """
-    flat = copies[:, 0]
-    t = flat.shape[0]
-    pend_mask = pend_pat = None
-    pend_sat = None
-    pend_xor = 0
-    packed_controls = None  # identity cache: rounds share one controls tuple
-    packed_mp = (0, 0)
-
-    def flush():
-        nonlocal pend_mask, pend_pat, pend_sat, pend_xor
-        if pend_sat is not None and pend_xor:
-            flat[pend_sat] ^= np.uint64(pend_xor)
-        pend_mask = pend_pat = pend_sat = None
-        pend_xor = 0
-
-    def evaluate_probes(li, pi):
-        flush()
-        while pi < len(probe_list) and probe_list[pi][0] == li:
-            _, slot, terms = probe_list[pi]
-            m, p = _pack_terms_int(terms)
-            if m:
-                results[slot] = np.asarray((flat & np.uint64(m)) == np.uint64(p))
-            else:
-                results[slot] = np.ones(t, dtype=bool)
-            pi += 1
-        return pi
-
-    pi = 0
-    next_probe = probe_list[0][0] if probe_list else -1
-    mcz_masks: list[int] = []
-    mcz_pats: list[int] = []
-    for li, layer in enumerate(layers):
-        if li == next_probe:
-            pi = evaluate_probes(li, pi)
-            next_probe = probe_list[pi][0] if pi < len(probe_list) else -1
-        for g in layer.gates:
-            if g.kind == MCX:
-                if g.controls is not packed_controls:
-                    packed_mp = _pack_terms_int(g.controls)
-                    packed_controls = g.controls
-                m, p = packed_mp
-                if m != pend_mask or p != pend_pat:
-                    flush()
-                    pend_sat = (
-                        (flat & np.uint64(m)) == np.uint64(p)
-                        if m
-                        else np.ones(t, dtype=bool)
-                    )
-                    pend_mask, pend_pat = m, p
-                pend_xor ^= 1 << (g.target - 1)
-            else:
-                flush()
-                m, p = _pack_terms_int(_full_condition(g))
-                mcz_masks.append(m)
-                mcz_pats.append(p)
-        if mcz_masks:
-            masks = np.array(mcz_masks, dtype=np.uint64)
-            pats = np.array(mcz_pats, dtype=np.uint64)
-            sat = (flat[None, :] & masks[:, None]) == pats[:, None]
-            parity = np.bitwise_and(sat.sum(axis=0), 1)
-            signs[parity == 1] *= -1
-            mcz_masks.clear()
-            mcz_pats.clear()
-    flush()
-    if pi < len(probe_list):
-        evaluate_probes(len(layers), pi)
-
-
-def _run_layers_wide(copies, signs, layers, probe_list, results) -> None:
-    """Plain per-gate path for systems wider than one word."""
-    W = copies.shape[1]
-
-    def evaluate_probes(li, pi):
-        while pi < len(probe_list) and probe_list[pi][0] == li:
-            _, slot, terms = probe_list[pi]
-            m, p = _pack_terms_words(terms, W)
-            results[slot] = _satisfied_words(copies, m, p)
-            pi += 1
-        return pi
-
-    pi = 0
-    next_probe = probe_list[0][0] if probe_list else -1
-    for li, layer in enumerate(layers):
-        if li == next_probe:
-            pi = evaluate_probes(li, pi)
-            next_probe = probe_list[pi][0] if pi < len(probe_list) else -1
-        for g in layer.gates:
-            if g.kind == MCX:
-                m, p = _pack_terms_words(g.controls, W)
-                sat = _satisfied_words(copies, m, p)
-                w, b = divmod(g.target - 1, 64)
-                copies[sat, w] ^= np.uint64(1 << b)
-            else:
-                m, p = _pack_terms_words(_full_condition(g), W)
-                sat = _satisfied_words(copies, m, p)
-                signs[sat] = -signs[sat]
-    if pi < len(probe_list):
-        evaluate_probes(len(layers), pi)
-
-
-def run_rounds(
-    copies: np.ndarray,
-    masks: np.ndarray,
-    patterns: np.ndarray,
-    flips: np.ndarray,
-    record: int = 0,
-) -> np.ndarray:
-    """Apply shared-condition rounds to a batch of trials, in place.
-
-    ``copies`` is (B, t, W); ``masks``, ``patterns`` and ``flips`` are
-    (R, B, W), round r of trial b being ``[r, b]``.  A copy satisfies a
-    round when it equals the pattern on the mask; the round then XORs
-    its flips into that copy.  Exact only for rounds whose flips never
-    meet their own mask, as in ``generators.gate_opt_program``.
-
-    Returns the (B, t, record) satisfaction of the first ``record``
-    rounds: the condition matrix ``round_probes`` records for them.
-    """
-    recorded = np.empty((record, copies.shape[0], copies.shape[1]), dtype=bool)
-    zero = np.uint64(0)
-    for r in range(masks.shape[0]):
-        sat = np.all((copies & masks[r, :, None, :]) == patterns[r, :, None, :], axis=2)
-        if r < record:
-            recorded[r] = sat
-        copies ^= np.where(sat[:, :, None], flips[r, :, None, :], zero)
-    return recorded.transpose(1, 2, 0)
+    prog = compile_circuit(layers, copies.shape[1], probes)
+    recorded = run_steps(prog, copies[None], signs[None])
+    return list(recorded[0].T)
 
 
 def apply_circuit(e: CopyEnsemble, c: Circuit) -> CopyEnsemble:
     """Apply all layers left to right; gate order within a layer is
     irrelevant because layer supports are disjoint."""
-    if c.n != e.n:
-        raise ValueError(f"circuit acts on {c.n} sites, ensemble has {e.n}")
-    out = e.clone()
-    evolve_arrays(out.copies, out.signs, c.layers)
-    return out
+    return apply_circuit_recording(e, c, ())[0]
 
 
 def apply_circuit_recording(
@@ -431,26 +415,18 @@ def apply_circuit_recording(
     if c.n != e.n:
         raise ValueError(f"circuit acts on {c.n} sites, ensemble has {e.n}")
     out = e.clone()
-    columns = evolve_arrays(out.copies, out.signs, c.layers, probes)
-    return out, _columns_to_matrix(out.t, columns)
+    prog = compile_circuit(c.layers, out.copies.shape[1], probes)
+    recorded = run_steps(prog, out.copies[None], out.signs[None])
+    return out, BitMatrix.from_dense(recorded[0])
 
 
 def condition_matrix(e: CopyEnsemble, conditions: Sequence[Sequence[ControlTerm]]) -> BitMatrix:
     """Condition matrix of a fixed ensemble: entry (p, q) is 1 iff copy p
     satisfies condition q.  A condition with no terms yields an all-ones
     column."""
-    W = e.copies.shape[1]
-    columns = []
-    for terms in conditions:
-        m, p = _pack_terms_words(terms, W)
-        columns.append(_satisfied_words(e.copies, m, p))
-    return _columns_to_matrix(e.t, columns)
-
-
-def _columns_to_matrix(t: int, columns: Sequence[np.ndarray]) -> BitMatrix:
-    if not columns:
-        return BitMatrix.zeros(t, 0)
-    return BitMatrix.from_dense(np.stack(columns, axis=1))
+    prog = compile_circuit((), e.copies.shape[1], [(0, terms) for terms in conditions])
+    # probe rows flip nothing, so the copies are only read
+    return BitMatrix.from_dense(run_steps(prog, e.copies[None])[0])
 
 
 def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm]]]:

@@ -16,7 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import subsetstate
 from .circuit import ccx_ladder_count
-from .copysim import CopyEnsemble, apply_circuit, run_rounds, sample_initial_copies, words_needed
+from .copysim import (
+    CopyEnsemble,
+    apply_circuit,
+    run_steps,
+    sample_initial_copies,
+    step_program,
+    words_needed,
+)
 from .f2linalg import (
     BitMatrix,
     MonteCarloEstimate,
@@ -31,6 +38,7 @@ from .generators import (
     depth_opt_thermalizer,
     gate_opt_program,
     gate_opt_thermalizer,
+    sign_program,
     sign_thermalizer,
 )
 from .rng import derive_seed, stream
@@ -57,9 +65,12 @@ class BitBatteryResult:
         return all(self.distinct)
 
 
-# Trials simulated together by the gate-opt battery.  Results do not
-# depend on it: every trial keeps its own named streams.
+# Trials simulated together by the gate-opt battery and by the sign
+# trials.  Results do not depend on them: every trial keeps its own named
+# streams.  Sign row sets are padded to the longest of their block, so
+# their smaller block keeps the padding's memory small.
 _TRIAL_BLOCK = 256
+_SIGN_BLOCK = 64
 
 
 def run_bit_battery(
@@ -79,10 +90,10 @@ def run_bit_battery(
     diagnostics on (gate-opt only), the stage-1 condition matrix is
     recorded through the run and its rank checked against t.
 
-    Gate-opt trials run as packed round programs through the batched
-    round kernel; depth-opt trials walk their ``Circuit``.  Every gate
-    carries m controls, so a trial's CCX total is its gate count times
-    the ladder cost.
+    Gate-opt trials run as packed round programs, a block of trials per
+    ``copysim.run_steps`` call; depth-opt trials run their ``Circuit``.
+    Every gate carries m controls, so a trial's CCX total is its gate
+    count times the ladder cost.
     """
     if algorithm == "gate-opt":
         return _gate_opt_battery(n, k, t, m, alpha, trials, master_seed, diagnostics)
@@ -112,16 +123,19 @@ def _gate_opt_battery(
     for lo in range(0, trials, _TRIAL_BLOCK):
         block = range(lo, min(lo + _TRIAL_BLOCK, trials))
         masks, patterns, flips = (
-            np.empty((2 * rounds, len(block), words_needed(n)), dtype=np.uint64) for _ in range(3)
+            np.empty((len(block), 2 * rounds, words_needed(n)), dtype=np.uint64) for _ in range(3)
         )
         gates = []
         for b, i in enumerate(block):
             prog = gate_opt_program(replace(base, seed=derive_seed(master_seed, "bit-circuit", i)))
-            masks[:, b], patterns[:, b], flips[:, b] = prog.masks, prog.patterns, prog.flips
+            masks[b], patterns[b], flips[b] = prog.masks, prog.patterns, prog.flips
             gates.append(int(prog.fired.sum()))
         initial = [sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i)) for i in block]
         copies = np.stack([e.copies for e in initial])
-        recorded = run_rounds(copies, masks, patterns, flips, record=rounds if diagnostics else 0)
+        # stage-1 rounds read only [1, k], which no stage-1 round writes:
+        # their satisfaction is the condition matrix
+        prog = step_program(masks, patterns, flips, record=range(rounds) if diagnostics else ())
+        recorded = run_steps(prog, copies)
         for b, e in enumerate(initial):
             final = CopyEnsemble(n, copies[b], e.signs, check=False)
             if diagnostics:
@@ -141,70 +155,42 @@ class SignTrialResult:
     gate_counts: list[int]
 
 
-def _fast_sign_vector(
-    n: int, p: int, alpha: float, t: int, m: int, circuit_seed: int, copies: CopyEnsemble
-) -> tuple[np.ndarray, int]:
-    """Final signs under a sign-thermalizer circuit, without gate objects.
-
-    Sign gates are diagonal, so each copy's final sign is just the parity
-    of the gate conditions it satisfies.  This kernel consumes the same
-    random stream as ``sign_thermalizer`` draw for draw (the sign window
-    always equals m*p, so the generator's permutation prefix is the full
-    permutation), making its output bit-identical to the modular
-    generate-then-simulate path.  Single-word systems only.
-    """
-    if n > 64 or copies.copies.shape[1] != 1:
-        raise ValueError("fast sign kernel handles single-word systems only")
-    rng = stream(circuit_seed, "gen", "sign")
-    n_layers = ceil_rounds(alpha * t / p)
-    mp = m * p
-    perms = np.empty((n_layers, mp), dtype=np.int64)
-    coins = np.empty((n_layers, mp + p), dtype=np.uint8)
-    for li in range(n_layers):
-        perms[li] = rng.permutation(mp)
-        coins[li] = rng.integers(0, 2, size=mp + p, dtype=np.uint8)
-    # positions are 1 + perm value, so the packed bit index is the perm
-    # value itself; conditions group m consecutive entries
-    bits = (np.uint64(1) << perms.astype(np.uint64)).reshape(n_layers * p, m)
-    vals = coins[:, :mp].reshape(n_layers * p, m).astype(bool)
-    masks = np.bitwise_or.reduce(bits, axis=1)
-    pats = np.bitwise_or.reduce(np.where(vals, bits, np.uint64(0)), axis=1)
-    fired = coins[:, mp:].reshape(-1).astype(bool)
-    masks, pats = masks[fired], pats[fired]
-    flat = copies.copies[:, 0]
-    sat = (flat[None, :] & masks[:, None]) == pats[:, None]
-    parity = np.bitwise_and(sat.sum(axis=0), 1).astype(np.int8)
-    return (copies.signs * (1 - 2 * parity)).astype(np.int8), int(fired.sum())
-
-
 def run_sign_trials(
-    n: int, p: int, alpha: float, t: int, m: int, trials: int, master_seed: int,
-    fast: bool = True,
+    n: int, p: int, alpha: float, t: int, m: int, trials: int, master_seed: int
 ) -> SignTrialResult:
     """Sign-thermalizer sweeps: fresh circuit and fresh t distinct uniform
     copies of the full n-bit space per trial; collects final sign vectors.
 
-    ``fast`` routes single-word systems through the stream-identical
-    diagonal kernel; the modular generate-then-simulate path is kept for
-    cross-checks and for systems wider than 64 sites.
+    Each trial's fired slots are diagonal rows of its own row set, padded
+    with inert rows to the longest set of its block; a block of trials
+    runs through one ``copysim.run_steps`` call, as one step, since sign
+    gates write no site.  No gate objects are built.
     """
     vectors: list[np.ndarray] = []
     gate_counts: list[int] = []
     layer_count = ceil_rounds(alpha * t / p)
-    use_fast = fast and n <= 64
-    for i in range(trials):
-        circuit_seed = derive_seed(master_seed, "sign-circuit", i)
-        copies = sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i))
-        if use_fast:
-            signs, fired = _fast_sign_vector(n, p, alpha, t, m, circuit_seed, copies)
-            vectors.append(signs)
+    W = words_needed(n)
+    for lo in range(0, trials, _SIGN_BLOCK):
+        block = range(lo, min(lo + _SIGN_BLOCK, trials))
+        masks, patterns = np.zeros((2, len(block), layer_count * p, W), dtype=np.uint64)
+        diagonal = np.zeros((len(block), layer_count * p), dtype=bool)
+        initial = []
+        for b, i in enumerate(block):
+            prog = sign_program(n, p, alpha, t, m, seed=derive_seed(master_seed, "sign-circuit", i))
+            fired_masks, fired_patterns = prog.rows()
+            fired = len(fired_masks)
+            masks[b, :fired], patterns[b, :fired] = fired_masks, fired_patterns
+            diagonal[b, :fired] = True
             gate_counts.append(fired)
-        else:
-            circuit = sign_thermalizer(n, p, alpha, t, m, seed=circuit_seed)
-            layer_count = len(circuit.layers)
-            final = apply_circuit(copies, circuit)
-            vectors.append(final.signs.copy())
-            gate_counts.append(circuit.gate_count)
+            initial.append(sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i)))
+        used = max(gate_counts[lo:])
+        copies = np.stack([e.copies for e in initial])
+        signs = np.stack([e.signs for e in initial])
+        rows = step_program(
+            masks[:, :used], patterns[:, :used], np.zeros((used, W), dtype=np.uint64), diagonal[:, :used]
+        )
+        run_steps(rows, copies, signs)
+        vectors.extend(signs)
     return SignTrialResult(vectors, layer_count, gate_counts)
 
 

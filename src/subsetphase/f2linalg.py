@@ -14,8 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import child_streams
-
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -221,13 +219,12 @@ def full_rank_probability_sequential(params: RankBoundParams) -> SequentialBound
         return SequentialBound(1.0, True)
     q, p_hi, q_hi = params.q, params.p_hi, params.q_hi
     prod = 1.0
-    valid = True
     for r in range(l):
         f = 1.0 - q ** (m - r) - r * p ** (q_hi * (m - r) + 1.0) * q ** (p_hi * m + q_hi * r - 1.0)
         if f < 0.0:
             return SequentialBound(0.0, False)
         prod *= min(f, 1.0)
-    return SequentialBound(min(max(prod, 0.0), 1.0), valid)
+    return SequentialBound(min(max(prod, 0.0), 1.0), True)
 
 
 def chernoff_row_weight_bound(m: float, p: float, epsilon: float) -> float:
@@ -264,22 +261,3 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> Wilson
     center = (phat + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return WilsonInterval(max(0.0, center - half), min(1.0, center + half))
-
-
-def monte_carlo_full_rank(
-    rows: int, cols: int, p: float, trials: int, rng: np.random.Generator
-) -> MonteCarloEstimate:
-    """Full-row-rank frequency of Bernoulli(p) matrices with a Wilson 95% CI.
-
-    Each trial draws its matrix from an independent child stream keyed
-    by trial index off the supplied generator, so the estimate is a pure
-    function of that generator's state and trials may run in any order.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    hits = 0
-    for child in child_streams(rng, trials):
-        m = sample_bernoulli_matrix(rows, cols, p, child)
-        if is_full_row_rank(m):
-            hits += 1
-    return MonteCarloEstimate(hits / trials, wilson_interval(hits, trials), hits, trials)

@@ -9,12 +9,14 @@ Five constructions, all pure functions of (parameters, seed):
   arrays or as the equivalent ``Circuit``.
 * ``depth_opt_thermalizer``: staged parallel bit thermalizer that grows
   the control region geometrically to keep the depth low.
-* ``sign_thermalizer``: parallel signed-MCZ rounds that randomize the
-  sign bits.
+* ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
+  that randomize the sign bits, as slot arrays or as the equivalent
+  ``Circuit``.
 
 Generation is fully decoupled from simulation: generators emit
 ``Circuit`` values (plus round/stage metadata for diagnostics) or, for
-gate-opt, packed round arrays, and never touch ensemble state.
+gate-opt and sign, arrays, and never touch ensemble state.  Each
+generator's random stream is consumed in one place.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer, ccx_ladder_count
-from .copysim import pack_bits, unpack_bits
+from .copysim import pack_bits, pack_sites, unpack_bits, words_needed
 from .rng import stream
 
 _EMPTY_LAYER = Layer(())
@@ -105,14 +107,21 @@ def _rmc_draw(n: int, window: int, m: int, rng: np.random.Generator) -> tuple[np
     return picks, rng.integers(0, 2, size=m + n - window, dtype=np.uint8)
 
 
+def _prmc_draw(window: int, m: int, p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of one ``prmc`` round, unvalidated.
+
+    Returns the 0-based window offsets of the m*p group members in draw
+    order and one coin vector (m*p polarities, then p apply bits).
+    """
+    # a permutation prefix is a uniform random arrangement, so the
+    # consecutive chunks of m form a uniform partition
+    return rng.permutation(window)[: m * p], rng.integers(0, 2, size=m * p + p, dtype=np.uint8)
+
+
 def _prmc_raw(
     n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw arrays behind ``prmc``: (positions, values, apply_bits).
-
-    Kept separate so cost profiling can consume the identical random
-    stream without materializing control terms for unapplied groups.
-    """
+    """Raw arrays behind ``prmc``: (positions, values, apply_bits)."""
     if not (1 <= x1 < x2 <= n):
         raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
     if m < 1 or p < 1:
@@ -120,11 +129,8 @@ def _prmc_raw(
     window = x2 - x1 + 1
     if m * p > window:
         raise ValueError(f"m*p={m * p} exceeds window size {window}")
-    # a permutation prefix is a uniform random arrangement, so the
-    # consecutive chunks of m form a uniform partition
-    positions = x1 + rng.permutation(window)[: m * p]
-    coins = rng.integers(0, 2, size=m * p + p, dtype=np.uint8)
-    return positions, coins[: m * p], coins[m * p :]
+    offsets, coins = _prmc_draw(window, m, p, rng)
+    return x1 + offsets, coins[: m * p], coins[m * p :]
 
 
 def _group_terms(positions: np.ndarray, values: np.ndarray, m: int, i: int) -> list[ControlTerm]:
@@ -280,6 +286,24 @@ def depth_opt_stage_count(n: int, k: int, m: int) -> int:
     return len(_depth_opt_stages(n, k, m)) - 1
 
 
+def _depth_opt_rounds(gp: GenParams):
+    """Draw the staged thermalizer round by round.
+
+    Yields ``(stage, r, positions, values, apply_bits)`` per round, where
+    ``stage`` is its ``_depth_opt_stages`` row and r counts rounds within
+    the stage.  This is the only consumer of the depth-opt stream.  It is
+    lazy because sweeps reach sizes where storing every round's positions
+    would take gigabytes.
+    """
+    n, k, m = gp.n, gp.k, gp.m
+    stages = _depth_opt_stages(n, k, m)
+    rng = stream(gp.seed, "gen", "depth-opt")
+    for stage in stages:
+        x1, x2, p, _, _ = stage
+        for r in range(gp.rounds):
+            yield (stage, r, *_prmc_raw(n, x1, x2, m, p, rng))
+
+
 def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     """Staged parallel bit thermalizer.
 
@@ -293,32 +317,28 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     Every round is exactly one layer (kept even when no apply bit fires),
     so the unit-cost depth is (growth stages + 1) * rounds for all seeds.
     """
-    n, k, m = gp.n, gp.k, gp.m
-    stages = _depth_opt_stages(n, k, m)
-    rng = stream(gp.seed, "gen", "depth-opt")
-    rounds = gp.rounds
+    m = gp.m
     layers: list[Layer] = []
     stages_meta: list[dict] = []
-    for x1, x2, p, slots, target_base in stages:
-        stages_meta.append(
-            {
-                "s": x2 if x1 == 1 else "closing",
-                "p": p,
-                "targets": slots,
-                "first_layer": len(layers),
-            }
-        )
-        for _ in range(rounds):
-            positions, values, apply_bits = _prmc_raw(n, x1, x2, m, p, rng)
-            gates = [
-                Gate(MCX, _sorted_controls(_group_terms(positions, values, m, x)), target_base + x + 1)
-                for x in range(slots)
-                if apply_bits[x]
-            ]
-            layers.append(Layer(gates, check=False) if gates else _EMPTY_LAYER)
-    extra = {"stages": stages_meta, "growth_stages": len(stages) - 1}
+    for (x1, x2, p, slots, target_base), r, positions, values, apply_bits in _depth_opt_rounds(gp):
+        if r == 0:
+            stages_meta.append(
+                {
+                    "s": x2 if x1 == 1 else "closing",
+                    "p": p,
+                    "targets": slots,
+                    "first_layer": len(layers),
+                }
+            )
+        gates = [
+            Gate(MCX, _sorted_controls(_group_terms(positions, values, m, x)), target_base + x + 1)
+            for x in range(slots)
+            if apply_bits[x]
+        ]
+        layers.append(Layer(gates, check=False) if gates else _EMPTY_LAYER)
+    extra = {"stages": stages_meta, "growth_stages": len(stages_meta) - 1}
     return Circuit(
-        n=n,
+        n=gp.n,
         layers=tuple(layers),
         generator="depth-opt",
         params=gp.as_dict(),
@@ -327,15 +347,37 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     )
 
 
-def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> Circuit:
-    """Parallel sign thermalizer.
+@dataclass(frozen=True)
+class SignProgram:
+    """Array form of one sign thermalizer: L layers of p slots.
+
+    Slot (l, x) holds its group's m sites in draw order (``sites[l, x]``,
+    1-based) and their required values.  When ``fired[l, x]`` it is one
+    signed MCZ whose signed target is the group's last drawn site and
+    whose controls are the others.
+    """
+
+    n: int
+    sites: np.ndarray
+    values: np.ndarray
+    fired: np.ndarray
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, patterns) of the fired slots, layer by layer: the full
+        condition of each signed MCZ, packed like copies."""
+        sites = self.sites[self.fired]
+        packed = pack_sites(np.array((sites, sites * self.values[self.fired])), words_needed(self.n))
+        return packed[0], packed[1]
+
+
+def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:
+    """Draw the parallel sign thermalizer as slot arrays.
 
     Emits ceil(alpha*t/p) layers.  Each layer partitions [1, m*p] into p
-    disjoint m-site groups; every group whose apply bit fires becomes one
-    signed MCZ whose controls are the group's first m-1 members and whose
-    signed target is the group's last member (position and required
-    value).  With m = 1 the gate degenerates to a single-site sign-flip
-    condition.
+    disjoint m-site groups, each with fair-coin required values and a
+    fair apply bit.  This is the only consumer of the sign stream:
+    ``sign_thermalizer`` and ``sign_cost_profile`` are views of its
+    result.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -349,21 +391,40 @@ def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0
         raise ValueError("t and alpha must be positive")
     rng = stream(seed, "gen", "sign")
     n_layers = ceil_rounds(alpha * t / p)
+    mp = m * p
+    offsets = np.empty((n_layers, mp), dtype=np.int64)
+    coins = np.empty((n_layers, mp + p), dtype=np.uint8)
+    for li in range(n_layers):
+        # a ``prmc`` round on the window [1, m*p]
+        offsets[li], coins[li] = _prmc_draw(mp, m, p, rng)
+    shape = (n_layers, p, m)
+    return SignProgram(n, (offsets + 1).reshape(shape), coins[:, :mp].reshape(shape), coins[:, mp:] == 1)
+
+
+def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> Circuit:
+    """Parallel sign thermalizer as a ``Circuit`` (export view of
+    ``sign_program``).
+
+    Every fired slot becomes one signed MCZ whose controls are its
+    group's first m-1 drawn members and whose signed target is the last
+    (position and required value).  Layers without a fired slot stay, so
+    there are ceil(alpha*t/p) layers for every seed.  With m = 1 the gate
+    degenerates to a single-site sign-flip condition.
+    """
+    prog = sign_program(n, p, alpha, t, m, seed)
+    n_layers = prog.fired.shape[0]
     layers: list[Layer] = []
-    for _ in range(n_layers):
-        positions, values, apply_bits = _prmc_raw(n, 1, m * p, m, p, rng)
-        gates = []
-        for x in range(p):
-            if apply_bits[x]:
-                terms = _group_terms(positions, values, m, x)
-                gates.append(
-                    Gate(
-                        SIGNED_MCZ,
-                        _sorted_controls(terms[: m - 1]),
-                        terms[m - 1].position,
-                        target_value=terms[m - 1].required_value,
-                    )
-                )
+    for sites, values, fired in zip(prog.sites.tolist(), prog.values.tolist(), prog.fired.tolist()):
+        gates = [
+            Gate(
+                SIGNED_MCZ,
+                _sorted_controls([ControlTerm(s, v) for s, v in zip(sites[x][:-1], values[x][:-1])]),
+                sites[x][-1],
+                target_value=values[x][-1],
+            )
+            for x in range(p)
+            if fired[x]
+        ]
         layers.append(Layer(gates, check=False) if gates else _EMPTY_LAYER)
     params = {"n": n, "p": p, "t": t, "alpha": alpha, "m": m}
     extra = {"layer_count": n_layers, "slots_per_layer": p}
@@ -397,33 +458,24 @@ def gate_opt_cost_profile(gp: GenParams) -> CostMeasurement:
 
 
 def depth_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``depth_opt_thermalizer(gp)``; same stream, no gates."""
-    n, k, m = gp.n, gp.k, gp.m
-    stages = _depth_opt_stages(n, k, m)
-    rng = stream(gp.seed, "gen", "depth-opt")
-    rounds = gp.rounds
-    cost = ccx_ladder_count(m)
+    """Costs of ``depth_opt_thermalizer(gp)``, walking the same rounds
+    without building gates."""
+    cost = ccx_ladder_count(gp.m)
     gates = 0
     decomposed = 0
-    for x1, x2, p, slots, _base in stages:
-        for _ in range(rounds):
-            _, _, apply_bits = _prmc_raw(n, x1, x2, m, p, rng)
-            fired = int(apply_bits[:slots].sum())
-            gates += fired
-            decomposed += cost if fired else 1
-    return CostMeasurement(gates, len(stages) * rounds, decomposed, gates * cost)
+    rounds = 0
+    for (_, _, _, slots, _), _, _, _, apply_bits in _depth_opt_rounds(gp):
+        fired = int(np.count_nonzero(apply_bits[:slots]))
+        gates += fired
+        decomposed += cost if fired else 1
+        rounds += 1
+    return CostMeasurement(gates, rounds, decomposed, gates * cost)
 
 
 def sign_cost_profile(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> CostMeasurement:
-    """Costs of ``sign_thermalizer(...)``; same stream, no gates."""
-    rng = stream(seed, "gen", "sign")
-    n_layers = ceil_rounds(alpha * t / p)
+    """Costs of ``sign_thermalizer(...)`` from its program."""
+    fired = sign_program(n, p, alpha, t, m, seed).fired
     cost = ccx_ladder_count(m)  # m-site condition: m-1 controls plus the signed target
-    gates = 0
-    decomposed = 0
-    for _ in range(n_layers):
-        _, _, apply_bits = _prmc_raw(n, 1, m * p, m, p, rng)
-        fired = int(apply_bits.sum())
-        gates += fired
-        decomposed += cost if fired else 1
-    return CostMeasurement(gates, n_layers, decomposed, gates * cost)
+    gates = int(fired.sum())
+    decomposed = int(np.where(fired.any(axis=1), cost, 1).sum())
+    return CostMeasurement(gates, fired.shape[0], decomposed, gates * cost)

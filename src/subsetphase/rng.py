@@ -45,19 +45,3 @@ def stream(master_seed: int, *tags: object) -> np.random.Generator:
 def derive_seed(master_seed: int, *tags: object) -> int:
     """64-bit sub-seed for handing to components that take a plain seed."""
     return stream_key(master_seed, *tags)[0]
-
-
-def child_streams(rng: np.random.Generator, count: int):
-    """``count`` independent generators keyed from the parent's output.
-
-    Child i is keyed by the i-th 16-byte block of the parent stream, so
-    the family is a pure function of the parent's state (key-initialized
-    Philox generators do not support SeedSequence spawning).
-    """
-    raw = rng.bytes(16 * count)
-    for i in range(count):
-        key = (
-            int.from_bytes(raw[16 * i : 16 * i + 8], "little"),
-            int.from_bytes(raw[16 * i + 8 : 16 * i + 16], "little"),
-        )
-        yield np.random.Generator(np.random.Philox(key=key))

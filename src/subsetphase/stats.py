@@ -21,6 +21,8 @@ from scipy import stats as sps
 from .copysim import CopyEnsemble
 
 DEFAULT_ALPHA = 1e-3
+# Trials folded per matrix product in ``pairwise_xor_test``
+_XOR_CHUNK = 256
 _MIN_EXPECTED_FOR_CHI2 = 5.0
 
 
@@ -154,15 +156,21 @@ def pairwise_xor_test(
     t, n = first.t, first.n
     if t < 2:
         raise ValueError("need at least two copies for pairwise tests")
-    pairs = [(p, q) for p in range(t) for q in range(p + 1, t)]
-    counts = np.zeros((len(pairs), n), dtype=np.int64)
-    for e in ensembles:
-        if e.t != t or e.n != n:
-            raise ValueError("all ensembles must share (t, n)")
-        bits = e.bits()
-        for idx, (p, q) in enumerate(pairs):
-            counts[idx] += bits[p] ^ bits[q]
-    cells = len(pairs) * n
+    # per-site co-occurrence counts c_pq (c_pp = c_p), summed over trial
+    # chunks; float32 products of 0/1 bits stay integer-exact per chunk
+    co = np.zeros((n, t, t), dtype=np.int64)
+    for lo in range(0, n_trials, _XOR_CHUNK):
+        chunk = ensembles[lo : lo + _XOR_CHUNK]
+        for e in chunk:
+            if e.t != t or e.n != n:
+                raise ValueError("all ensembles must share (t, n)")
+        x = np.stack([e.bits() for e in chunk], axis=2).transpose(1, 0, 2).astype(np.float32)
+        co += np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)
+    # XOR count of pair (p, q) at a site: c_p + c_q - 2 c_pq
+    p, q = np.triu_indices(t, 1)
+    ones = np.diagonal(co, axis1=1, axis2=2)
+    counts = np.ascontiguousarray((ones[:, p] + ones[:, q] - 2 * co[:, p, q]).T)
+    cells = p.size * n
     chi2 = float((((counts - n_trials / 2.0) ** 2) / (n_trials / 4.0)).sum())
     p_value = float(sps.chi2.sf(chi2, cells))
     return TestReport(
@@ -200,6 +208,12 @@ def _uniform_chi2_p(counts: np.ndarray, n_trials: int, seed: int | None) -> tupl
     return chi2, exceed / n_draws
 
 
+def check_sign_trials(n_trials: int) -> None:
+    """Raise unless ``sign_vector_test`` has enough trials to decide."""
+    if n_trials < 10_000:
+        raise ValueError("sign vector test needs at least 10^4 trials")
+
+
 def sign_vector_test(
     sign_vectors: Iterable[np.ndarray],
     t: int,
@@ -226,8 +240,7 @@ def sign_vector_test(
                 idx |= 1 << i
         counts[idx] += 1
         n_trials += 1
-    if n_trials < 10_000:
-        raise ValueError("sign vector test needs at least 10^4 trials")
+    check_sign_trials(n_trials)
     chi2, p_value = _uniform_chi2_p(counts, n_trials, seed)
     return TestReport(
         name="sign_vector",

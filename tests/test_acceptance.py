@@ -22,7 +22,6 @@ from subsetphase.f2linalg import (
     RankBoundParams,
     full_rank_probability_bound,
     full_rank_probability_sequential,
-    monte_carlo_full_rank,
     rank,
 )
 from subsetphase.generators import (
@@ -74,7 +73,7 @@ def test_criterion_2_rank_bound_at_desk_scale():
         params = RankBoundParams(p=0.25, l=l, m=m, epsilon=0.5)
         closed = full_rank_probability_bound(params)
         seq = full_rank_probability_sequential(params)
-        est = monte_carlo_full_rank(l, m, 0.25, 10_000, stream(2024, "accept-bound", l, m))
+        est = drivers.monte_carlo_full_rank_streamed(l, m, 0.25, 10_000, derive_seed(2024, "accept-bound", l, m))
         half = (est.ci95.hi - est.ci95.lo) / 2
         agree = abs(closed - seq.value) / closed < 1e-9
         dominated = est.estimate >= closed - half

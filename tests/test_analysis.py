@@ -15,7 +15,7 @@ from subsetphase.analysis import (
     success_bound_mcx,
 )
 from subsetphase.circuit import DECOMPOSED, UNIT, ccx_equivalent_count, depth
-from subsetphase.f2linalg import monte_carlo_full_rank
+from subsetphase.drivers import monte_carlo_full_rank_streamed
 from subsetphase.generators import (
     GenParams,
     depth_opt_stage_count,
@@ -23,7 +23,7 @@ from subsetphase.generators import (
     gate_opt_thermalizer,
     sign_thermalizer,
 )
-from subsetphase.rng import stream
+from subsetphase.rng import derive_seed
 
 # frozen from 60-digit evaluations of the bound expressions
 CCX_BOUND_A8_T16 = 0.99999999999996982773
@@ -44,7 +44,7 @@ class TestSuccessBoundCcx:
 
     def test_below_monte_carlo(self):
         bound = success_bound_ccx(8.0, 16)
-        est = monte_carlo_full_rank(16, 128, 0.25, 4000, stream(71, "ccx-mc"))
+        est = monte_carlo_full_rank_streamed(16, 128, 0.25, 4000, derive_seed(71, "ccx-mc"))
         assert bound <= est.estimate + (est.ci95.hi - est.ci95.lo)
 
 
@@ -67,7 +67,7 @@ class TestSuccessBoundMcx:
         # of two, matching the bound's matching probability
         t, alpha = 8, 6.0
         bound = success_bound_mcx(alpha, t)
-        est = monte_carlo_full_rank(t, int(alpha * t), 1.0 / t, 4000, stream(72, "mcx-mc"))
+        est = monte_carlo_full_rank_streamed(t, int(alpha * t), 1.0 / t, 4000, derive_seed(72, "mcx-mc"))
         assert bound <= est.estimate + (est.ci95.hi - est.ci95.lo)
 
     def test_rejects_t_below_two(self):

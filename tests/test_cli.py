@@ -224,6 +224,20 @@ class TestVerify:
         assert obj["results"][0]["name"] == "sign_vector"
         assert obj["results"][0]["passed"]
 
+    def test_signs_suite_checks_trials_before_running(self, tmp_path):
+        # m*p = 80 > n fails as soon as a trial draws its circuit, so
+        # getting the trials message shows the check runs before any trial
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", "signs", "--n", "70", "--t", "4", "--alpha", "4.0",
+            "--m", "2", "--p", "40", "--trials", "50", "--seed", "6",
+            "--report", str(rep),
+        )
+        assert res.returncode == 1
+        assert "sign vector test needs at least 10^4 trials" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not rep.exists()
+
 
 class TestScaling:
     def test_csv_schema_and_exactness(self, tmp_path):
@@ -280,9 +294,11 @@ def sha256(path):
 
 class TestPinnedBytes:
     """Fixed-seed artifacts pinned by SHA-256.  The digests were recorded
-    from the per-trial ``Circuit`` implementation of the bit battery and
-    the ``rmc``-replay cost profile; a change here means the random
-    streams or the report layout moved."""
+    from implementations the step kernel replaced: the per-trial
+    ``Circuit`` bit battery, the ``rmc``-replay cost profile, the earlier
+    circuit walkers, a separate sign kernel and the stream-replay sign and
+    depth-opt cost profiles.  A change here means the random streams or
+    the report layout moved."""
 
     BITS = ["verify", "--suite", "bits", "--n", "20", "--k", "8", "--t", "4", "--alpha", "4",
             "--m", "2", "--trials", "1000", "--seed", "11"]
@@ -321,6 +337,25 @@ class TestPinnedBytes:
             (["rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
               "--seed", "4", "--format", "csv", "--out"],
              "aae18663d62b5914e4fbbb40d418daba28d0a4488502f0708e418b3491bf6795"),
+            (["gen", "--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
+              "--alpha", "3", "--seed", "5", "--out"],
+             "f7a5d893e1a0fdab86333d9b32a0848fecf2359158e76a69c5397976866c84c3"),
+            (["verify", "--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4", "--m", "2",
+              "--p", "4", "--trials", "10000", "--seed", "6", "--report"],
+             "b4ea005f1bb8cfae79de315942347e01d77d5abb7d37cb533877fec27ed7d828"),
+            # two words per copy, and sites past 64 in the sign window
+            (["verify", "--suite", "signs", "--n", "70", "--t", "4", "--alpha", "8", "--m", "3",
+              "--p", "8", "--trials", "10000", "--seed", "12", "--report"],
+             "8bd4d6283846cf423a3ee07d4aa28e32135f5a572f97ee89b9766003dd04a4f8"),
+            (["moments", "--n", "4", "--k", "2", "--t", "1", "--samples", "200", "--alpha", "8.0",
+              "--m", "2", "--alpha-sign", "8.0", "--m-sign", "2", "--p-sign", "2", "--seed", "3",
+              "--report"],
+             "527e67abb216b5d46f6d451af33b22fef60d4737af8aebe899a3a171dc76026d"),
+            (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "depth-opt",
+              "--seed", "3", "--out"],
+             "af72e8f201fa7df2dca0599d2beb718bad487138f4c3ced549d1a28af7dcc5bd"),
+            (["scaling", "--grid", "n=64,128;t=4,8", "--algorithm", "sign", "--seed", "3", "--out"],
+             "a64d82d5e949927d51c2b790b9f49ffdbd200695e5f709d0ea53491d2a9265fa"),
         ],
     )
     def test_written_file(self, tmp_path, args, digest):
@@ -328,3 +363,30 @@ class TestPinnedBytes:
         res = run_cli(*args, str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
+
+    @pytest.mark.parametrize(
+        "name,gen_args,sim_args,digest",
+        [
+            # three words per copy
+            ("dopt.json", ["--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
+              "--m", "2", "--seed", "7"],
+             ["--trials", "10", "--seed", "8"],
+             "b2d0f8f71cc73af02336677ad5c1387da73d8694b9f95bfdcb4c85babe1d1443"),
+            ("gopt.json", ["--algorithm", "gate-opt", "--n", "70", "--k", "10", "--t", "4", "--alpha", "2",
+              "--m", "3", "--seed", "9"],
+             ["--trials", "10", "--seed", "10", "--diagnostics", "rank"],
+             "eb71226a4c0722fd780627e890c4e297e13aac268aa877a2ca976e838ccff0f4"),
+            ("sign.json", ["--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
+              "--alpha", "3", "--seed", "5"],
+             ["--trials", "10", "--seed", "11"],
+             "7dfa48c9b83a69111c054f7b4e1c60801c80b27d1f0b64130a9a4c5f166d79d3"),
+        ],
+    )
+    def test_sim_report(self, tmp_path, name, gen_args, sim_args, digest):
+        # the report names the circuit file
+        circuit = tmp_path / name
+        assert run_cli("gen", *gen_args, "--out", str(circuit)).returncode == 0
+        rep = tmp_path / "r.json"
+        res = run_cli("sim", "--circuit", str(circuit), *sim_args, "--report", str(rep))
+        assert res.returncode == 0, res.stderr
+        assert sha256(rep) == digest

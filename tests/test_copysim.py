@@ -8,13 +8,16 @@ from subsetphase.copysim import (
     apply_circuit_recording,
     apply_gate,
     condition_matrix,
+    compile_circuit,
     pack_bits,
     round_probes,
-    run_rounds,
+    run_steps,
     sample_initial_copies,
+    step_program,
     unpack_bits,
     words_needed,
 )
+from subsetphase.copysim import _pack_terms_words, _satisfied_words
 from subsetphase.f2linalg import rank
 from subsetphase.f2linalg import BitMatrix
 from subsetphase.generators import (
@@ -119,28 +122,43 @@ class TestApplyCircuit:
             again = apply_circuit(e, Circuit(n=n, layers=shuffled_layers))
             assert base == again
 
-    def test_fused_walk_equals_naive_gate_by_gate(self):
-        # the walker fuses same-condition MCX runs and batches sign gates;
-        # this must be observationally identical to sequential apply_gate
-        rng = stream(7, "fuse")
+    @pytest.mark.parametrize("n", [12, 70, 130])
+    def test_step_walk_equals_naive_gate_by_gate(self, n):
+        # the step kernel evaluates whole steps of rows against one state;
+        # this must be observationally identical to sequential apply_gate,
+        # probes included, at one, two and three words per copy
+        rng = stream(7, "steps", n)
         for trial in range(40):
-            n = 12
-            c = random_circuit(rng, n, 5)
+            c = random_circuit(rng, n, 5 if n == 12 else 12)
             e = sample_initial_copies(n, n, 6, rng)
-            fused = apply_circuit(e, c)
+            probes = []
+            for _ in range(int(rng.integers(0, 4))):
+                sites = rng.choice(n, size=int(rng.integers(0, 4)), replace=False) + 1
+                terms = [ControlTerm(int(s), int(rng.integers(0, 2))) for s in sites]
+                probes.append((int(rng.integers(0, len(c.layers) + 1)), terms))
+            stepped, x = apply_circuit_recording(e, c, probes)
             naive = e
-            for layer in c.layers:
-                for g in layer.gates:
-                    naive = apply_gate(naive, g)
-            assert fused == naive
+            columns = [None] * len(probes)
+            for li in range(len(c.layers) + 1):
+                for slot, (at, terms) in enumerate(probes):
+                    if at == li:
+                        mask, pattern = _pack_terms_words(terms, naive.copies.shape[1])
+                        columns[slot] = _satisfied_words(naive.copies, mask, pattern)
+                if li < len(c.layers):
+                    for g in c.layers[li].gates:
+                        naive = apply_gate(naive, g)
+            assert stepped == naive
+            want = np.stack(columns, axis=1) if columns else np.zeros((6, 0), dtype=bool)
+            assert np.array_equal(x.to_dense(), want)
 
-    def test_fusion_handles_shared_condition_runs(self):
+    def test_shared_condition_runs_in_one_step(self):
         # same condition, many targets in a row, including a repeated
         # target (flips twice, i.e. cancels)
         shared = (ControlTerm(1, 1), ControlTerm(2, 1))
         gates = [Gate(MCX, shared, t) for t in (3, 4, 5, 4)]
         layers = tuple(Layer([g]) for g in gates)
         c = Circuit(n=5, layers=layers)
+        assert compile_circuit(layers, 1).starts == (0,)
         e = CopyEnsemble.from_ints(5, [0b00011, 0b00001])
         out = apply_circuit(e, c)
         naive = e
@@ -149,12 +167,13 @@ class TestApplyCircuit:
         assert out == naive
         assert out.to_ints()[0] == 0b00011 ^ 0b00100 ^ 0b01000 ^ 0b10000 ^ 0b01000
 
-    def test_fusion_flushes_before_dependent_read(self):
-        # second gate reads the first gate's target, so the pending flip
-        # must land first
+    def test_dependent_read_starts_a_new_step(self):
+        # second gate reads the first gate's target, so the first flip
+        # must land before the second gate is evaluated
         g1 = Gate(MCX, (ControlTerm(1, 1),), 2)
         g2 = Gate(MCX, (ControlTerm(2, 1),), 3)
         c = Circuit(n=3, layers=(Layer([g1]), Layer([g2])))
+        assert compile_circuit(c.layers, 1).starts == (0, 1)
         e = CopyEnsemble.from_ints(3, [0b001])
         assert apply_circuit(e, c).to_ints() == [0b111]
 
@@ -267,18 +286,25 @@ class TestConditionMatrix:
         assert full >= 29
 
 
+def gate_opt_steps(programs, record=0):
+    """Step program of a batch of gate-opt programs, one row set per trial."""
+    masks, patterns, flips = (np.stack([getattr(p, f) for p in programs]) for f in ("masks", "patterns", "flips"))
+    return step_program(masks, patterns, flips, record=range(record))
+
+
 class TestRunRounds:
+    """Gate-opt round programs through the step kernel, batched over trials."""
+
     @pytest.mark.parametrize("n,k,t,m", [(20, 8, 4, 2), (64, 24, 8, 3), (130, 40, 5, 2)])
     def test_batch_matches_circuit_walk(self, n, k, t, m):
         gps = [GenParams(n=n, k=k, t=t, alpha=2.0, m=m, seed=s) for s in range(5)]
         programs = [gate_opt_program(gp) for gp in gps]
         initial = [sample_initial_copies(n, k, t, stream(16, "rounds", s)) for s in range(5)]
         copies = np.stack([e.copies for e in initial])
-        recorded = run_rounds(
-            copies,
-            *(np.stack([getattr(p, f) for p in programs], axis=1) for f in ("masks", "patterns", "flips")),
-            record=gps[0].rounds,
-        )
+        prog = gate_opt_steps(programs, record=gps[0].rounds)
+        # stage 2 reads what stage 1 writes: two steps
+        assert prog.starts == (0, gps[0].rounds)
+        recorded = run_steps(prog, copies)
         assert recorded.shape == (5, t, gps[0].rounds)
         for b, (gp, e) in enumerate(zip(gps, initial)):
             c = gate_opt_thermalizer(gp)
@@ -288,10 +314,9 @@ class TestRunRounds:
 
     def test_no_recording(self):
         gp = GenParams(n=16, k=6, t=3, alpha=2.0, m=2, seed=1)
-        p = gate_opt_program(gp)
         e = sample_initial_copies(16, 6, 3, stream(17, "rounds"))
         copies = e.copies[None].copy()
-        recorded = run_rounds(copies, p.masks[:, None], p.patterns[:, None], p.flips[:, None])
+        recorded = run_steps(gate_opt_steps([gate_opt_program(gp)]), copies)
         assert recorded.shape == (1, 3, 0)
         assert np.array_equal(copies[0], apply_circuit(e, gate_opt_thermalizer(gp)).copies)
 

@@ -13,12 +13,12 @@ from subsetphase.f2linalg import (
     full_rank_probability_bound,
     full_rank_probability_sequential,
     is_full_row_rank,
-    monte_carlo_full_rank,
     rank,
     sample_bernoulli_matrix,
     wilson_interval,
 )
-from subsetphase.rng import stream
+from subsetphase.drivers import monte_carlo_full_rank_streamed
+from subsetphase.rng import derive_seed, stream
 
 from conftest import span_rank
 
@@ -233,7 +233,7 @@ class TestChernoffBound:
 
 class TestMonteCarlo:
     def test_certain_full_rank(self):
-        est = monte_carlo_full_rank(1, 1, 1.0, 50, stream(0, "mc1"))
+        est = monte_carlo_full_rank_streamed(1, 1, 1.0, 50, derive_seed(0, "mc1"))
         assert est.estimate == 1.0
 
     def test_two_by_two_half(self):
@@ -244,23 +244,23 @@ class TestMonteCarlo:
             if span_rank(list(rows)) == 2
         )
         assert invertible == 6
-        est = monte_carlo_full_rank(2, 2, 0.5, 20_000, stream(3, "mc22"))
+        est = monte_carlo_full_rank_streamed(2, 2, 0.5, 20_000, 3)
         assert est.ci95.lo <= 6 / 16 <= est.ci95.hi
 
     def test_deterministic_per_seed(self):
-        a = monte_carlo_full_rank(4, 8, 0.25, 500, stream(5, "mcdet"))
-        b = monte_carlo_full_rank(4, 8, 0.25, 500, stream(5, "mcdet"))
+        a = monte_carlo_full_rank_streamed(4, 8, 0.25, 500, derive_seed(5, "mcdet"))
+        b = monte_carlo_full_rank_streamed(4, 8, 0.25, 500, derive_seed(5, "mcdet"))
         assert a == b
 
     def test_estimate_dominates_bound(self):
-        est = monte_carlo_full_rank(16, 64, 0.25, 10_000, stream(8, "mcbound"))
+        est = monte_carlo_full_rank_streamed(16, 64, 0.25, 10_000, derive_seed(8, "mcbound"))
         bound = full_rank_probability_bound(RankBoundParams(p=0.25, l=16, m=64, epsilon=0.5))
         assert est.estimate >= bound - (est.ci95.hi - est.ci95.lo) / 2
 
     def test_bound_below_estimate_across_grid(self):
         # p <= 1/4 and m*p >= 8 as the validity envelope
         for p, l, m in ((0.25, 8, 32), (0.25, 16, 64), (0.125, 8, 64), (0.125, 12, 96)):
-            est = monte_carlo_full_rank(l, m, p, 2_000, stream(13, "grid", l, m))
+            est = monte_carlo_full_rank_streamed(l, m, p, 2_000, derive_seed(13, "grid", l, m))
             bound = full_rank_probability_bound(RankBoundParams(p=p, l=l, m=m, epsilon=0.5))
             half = (est.ci95.hi - est.ci95.lo) / 2
             assert bound <= est.estimate + 2 * half

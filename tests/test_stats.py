@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subsetphase.copysim import CopyEnsemble
+from subsetphase.copysim import CopyEnsemble, apply_gate, sample_initial_copies
 from subsetphase.drivers import (
     ensemble_subsets,
     frozen_initial_ensembles,
@@ -10,7 +10,8 @@ from subsetphase.drivers import (
     run_bit_battery,
     run_sign_trials,
 )
-from subsetphase.rng import stream
+from subsetphase.generators import sign_thermalizer
+from subsetphase.rng import derive_seed, stream
 from subsetphase.stats import (
     TestReport,
     expected_uniform_tv,
@@ -109,6 +110,20 @@ class TestPairwiseXor:
             base = int(rng.integers(0, 1 << 10)) & ~0b11
             ens.append(CopyEnsemble.from_ints(10, [base, base ^ 1, base ^ 2]))
         assert not pairwise_xor_test(ens).passed
+
+    def test_statistic_equals_pair_loop(self):
+        # the co-occurrence fold must give the per-pair XOR counts exactly;
+        # 1100 trials end in a partial chunk
+        ens = shifted_copies(60, 5, 550, seed=49) + oracle_bit_ensembles(60, 5, 550, master_seed=49)
+        counts = np.zeros((10, 60), dtype=np.int64)
+        for e in ens:
+            bits = e.bits()
+            for idx, (p, q) in enumerate((p, q) for p in range(5) for q in range(p + 1, 5)):
+                counts[idx] += bits[p] ^ bits[q]
+        chi2 = float((((counts - 1100 / 2.0) ** 2) / (1100 / 4.0)).sum())
+        report = pairwise_xor_test(ens)
+        assert report.statistic == chi2
+        assert report.details == {"cells": 600, "dof": 600}
 
     def test_requires_two_copies(self):
         ens = oracle_bit_ensembles(8, 1, 1200, master_seed=47)
@@ -209,23 +224,27 @@ class TestSanitySandwich:
         assert not subset_uniformity_test(frozen, n, t).passed
 
 
-class TestFastSignKernel:
-    def test_bit_identical_to_modular_path(self):
-        # the diagonal kernel must reproduce generate-then-simulate
-        # exactly: same streams, same sign vectors, same gate counts
+class TestSignTrials:
+    def test_matches_gate_oracle(self):
+        # sign programs through the step kernel must reproduce the exported
+        # circuit applied gate by gate: same streams, sign vectors, counts
         for n, p, alpha, t, m in [
             (16, 16, 4.0, 4, 1),
             (24, 8, 3.0, 5, 3),
             (64, 10, 9.0, 16, 6),
             (64, 64, 8.0, 8, 1),
+            (130, 20, 6.0, 8, 6),
+            (130, 65, 4.0, 8, 2),
         ]:
-            fast = run_sign_trials(n, p, alpha, t, m, 25, master_seed=77, fast=True)
-            slow = run_sign_trials(n, p, alpha, t, m, 25, master_seed=77, fast=False)
-            assert all(
-                np.array_equal(a, b) for a, b in zip(fast.sign_vectors, slow.sign_vectors)
-            )
-            assert fast.gate_counts == slow.gate_counts
-            assert fast.layer_count == slow.layer_count
+            run = run_sign_trials(n, p, alpha, t, m, 25, master_seed=77)
+            for i in range(25):
+                circuit = sign_thermalizer(n, p, alpha, t, m, seed=derive_seed(77, "sign-circuit", i))
+                e = sample_initial_copies(n, n, t, stream(77, "sign-copies", i))
+                for g in circuit.gates():
+                    e = apply_gate(e, g)
+                assert np.array_equal(run.sign_vectors[i], e.signs)
+                assert run.gate_counts[i] == circuit.gate_count
+            assert run.layer_count == len(circuit.layers)
 
 
 class TestThermalizerBatteries:
