@@ -354,7 +354,10 @@ def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict,
         battery = drivers.run_bit_battery(algorithm, n, k, t, m, alpha, trials, seed,
                                           diagnostics=False)
         subsets = drivers.ensemble_subsets(battery.ensembles)
-        reports.append(stats.subset_uniformity_test(subsets, n, t, seed=seed))
+        if math.comb(1 << n, t) > stats.SUBSET_DOMAIN_MAX:
+            reports.append(stats.subset_collision_test(subsets, n, t, seed=seed))
+        else:
+            reports.append(stats.subset_uniformity_test(subsets, n, t, seed=seed))
     config = {
         "command": "verify", "suite": suite, "algorithm": algorithm, "n": n, "k": k,
         "t": t, "alpha": alpha, "m": m, "p": p, "trials": trials, "seed": seed,

@@ -184,16 +184,14 @@ def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> C
         copies = np.zeros((t, W), dtype=np.uint64)
         copies[:, 0] = chosen.astype(np.uint64)
         return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
-    picked: dict[bytes, np.ndarray] = {}
-    while len(picked) < t:
-        batch = random_bitstrings(rng, max(2 * t, 64), k, n)
-        for row in batch:
-            key = row.tobytes()
-            if key not in picked:
-                picked[key] = row
-                if len(picked) == t:
-                    break
-    copies = np.stack(list(picked.values()))
+    row_bytes = np.dtype((np.void, 8 * W))
+    copies = np.zeros((0, W), dtype=np.uint64)
+    while len(copies) < t:
+        # rows kept so far are distinct and come first, so the first
+        # occurrences keep them and append new rows in draw order
+        pool = np.concatenate([copies, random_bitstrings(rng, max(2 * t, 64), k, n)])
+        _, first = np.unique(pool.view(row_bytes).ravel(), return_index=True)
+        copies = pool[np.sort(first)[:t]]
     return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
 
 

@@ -267,6 +267,7 @@ def run_moment_experiment(
     """
     if primary not in ("algorithm", "oracle"):
         raise ValueError("primary must be 'algorithm' or 'oracle'")
+    subsetstate.check_moment_size(n, t, samples)
     haar = subsetstate.haar_moment(n, t)
 
     def alg_states():

@@ -21,6 +21,8 @@ from scipy import stats as sps
 from .copysim import CopyEnsemble
 
 DEFAULT_ALPHA = 1e-3
+# Largest t-subset domain binom(2^n, t) the uniformity test enumerates
+SUBSET_DOMAIN_MAX = 100_000
 # Trials folded per matrix product in ``pairwise_xor_test``
 _XOR_CHUNK = 256
 _MIN_EXPECTED_FOR_CHI2 = 5.0
@@ -275,7 +277,7 @@ def subset_uniformity_test(
     thresholds when a criterion pins one.
     """
     domain = comb(1 << n, t)
-    if domain > 100_000:
+    if domain > SUBSET_DOMAIN_MAX:
         raise ValueError(f"{domain} possible subsets; domain capped at 10^5 (shrink n or t)")
     n_trials = len(subsets)
     if n_trials < 1:

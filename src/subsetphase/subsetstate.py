@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 import numpy as np
@@ -25,8 +25,7 @@ from . import copysim
 from .circuit import Circuit
 
 STATEVECTOR_MAX_N = 24
-MOMENT_MAX_DIM = 4096
-HAAR_MAX_T = 3
+MOMENT_MAX_CELLS = 1 << 24  # one 4096 x 4096 float64 array, 128 MiB
 
 
 @dataclass
@@ -120,73 +119,135 @@ def sample_oracle_state(n: int, k: int, rng: np.random.Generator) -> SubsetState
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Ensemble-averaged t-fold projector: real symmetric, trace 1, PSD
-    up to accumulation roundoff."""
+    """A t-th moment restricted to the symmetric subspace Sym^t, in
+    orthonormal multiset coordinates (``dim`` = d_sym = binom(2^n + t - 1, t)).
+
+    ``form`` says what ``matrix`` holds:
+
+    * ``"moment"``: the d_sym x d_sym moment itself (real symmetric,
+      trace 1, PSD up to accumulation roundoff);
+    * ``"gram"``: the N x N Gram (Psi Psi^T)^(o t) / N of N <= d_sym
+      samples, which has the moment's nonzero spectrum;
+    * ``"uniform"``: no matrix; the maximally random moment I / d_sym.
+    """
 
     t: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    matrix: np.ndarray | None
+    form: str = "moment"
+    dim: int = 0
 
     def __post_init__(self):
+        if self.form not in ("moment", "gram", "uniform"):
+            raise ValueError(f"unknown moment form {self.form!r}")
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if self.form == "uniform":
+            if m is not None or self.dim < 1:
+                raise ValueError("a uniform moment has a positive dim and no matrix")
+            return
+        if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("moment matrix must be square")
+        if self.form == "moment":
+            if self.dim == 0:
+                object.__setattr__(self, "dim", m.shape[0])
+            if self.dim != m.shape[0]:
+                raise ValueError("a moment-form matrix is dim x dim")
+        elif not 1 <= m.shape[0] <= self.dim:
+            raise ValueError("a Gram-form matrix needs 1 <= N <= dim")
 
 
-def _check_moment_dim(n: int, t: int) -> int:
-    dim = (1 << n) ** t
-    if dim > MOMENT_MAX_DIM:
+def sym_dim(n: int, t: int) -> int:
+    """Dimension binom(2^n + t - 1, t) of the symmetric subspace Sym^t."""
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be positive")
+    return math.comb((1 << n) + t - 1, t)
+
+
+def check_moment_size(n: int, t: int, samples: int) -> None:
+    """Refuse shapes whose moment engine would hold an array of more than
+    MOMENT_MAX_CELLS float64 cells: the min(N, d_sym)-sided matrix it
+    eigensolves, or the N statevectors it keeps while N <= d_sym."""
+    d_sym = sym_dim(n, t)
+    side = min(samples, d_sym)
+    cells = max(side * side, side << n)
+    if cells > MOMENT_MAX_CELLS:
         raise ValueError(
-            f"moment dimension 2^(n*t) = {dim} exceeds {MOMENT_MAX_DIM}; "
-            f"shrink n or t (e.g. n <= {MOMENT_MAX_DIM.bit_length() - 1} with t = 1, n = 6 with t = 2)"
+            f"{samples} samples at n={n}, t={t} (d_sym = {d_sym}) need a "
+            f"{cells}-cell moment array, over the cap of {MOMENT_MAX_CELLS}; "
+            f"use fewer samples, or a smaller n or t"
         )
-    return dim
+
+
+def _multiset_coordinates(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index t-tuples of Sym^t's basis and their weights
+    sqrt(t! / prod(multiplicity!)): psi^(x t) has coordinate
+    weight * prod_j psi[idx[:, j]] on that basis."""
+    idx = np.array(list(combinations_with_replacement(range(d), t)), dtype=np.int64)
+    repeats = np.ones(len(idx))
+    run = np.ones(len(idx))
+    for j in range(1, t):
+        run = np.where(idx[:, j] == idx[:, j - 1], run + 1, 1.0)
+        repeats *= run
+    return idx, np.sqrt(math.factorial(t) / repeats)
 
 
 def empirical_moment(samples: Iterable[SubsetState], t: int, chunk: int = 512) -> MomentMatrix:
-    """Average of the t-fold self outer products of the sample states.
+    """Average of the t-fold self outer products of the sample states, on
+    Sym^t.
 
-    Accumulated as a Gram matrix of the t-fold tensor vectors, which
-    keeps the result PSD by construction up to float64 roundoff.
-    ``samples`` may be any iterable (it is consumed once).
+    The N statevectors are held until N exceeds d_sym.  If it never does,
+    the result is the N x N Gram (Psi Psi^T)^(o t) / N.  Otherwise their
+    multiset coordinates are accumulated into the upper triangle of the
+    d_sym x d_sym moment with ``dsyrk``, in ``chunk``-sample blocks, which
+    keeps it PSD by construction up to float64 roundoff.  ``samples`` may
+    be any iterable (it is consumed once); MOMENT_MAX_CELLS bounds what
+    it holds as it goes.
     """
     if t < 1:
         raise ValueError("t must be positive")
     acc: np.ndarray | None = None
     n = -1
+    d_sym = 0
     count = 0
-    block: list[np.ndarray] = []
+    held: list[np.ndarray] = []
+    idx = weights = None
 
-    def flush_block():
+    def flush(block: list[np.ndarray]):
         # rank-k update on the upper triangle only (phi.T is a free
         # F-contiguous view of the C-contiguous block)
         nonlocal acc
-        if block:
-            phi = np.stack(block)
-            acc = dsyrk(1.0, phi.T, beta=1.0, c=acc, trans=0, lower=0, overwrite_c=1)
-            block.clear()
+        psi = np.stack(block)
+        phi = weights * psi[:, idx[:, 0]]
+        for j in range(1, t):
+            phi *= psi[:, idx[:, j]]
+        acc = dsyrk(1.0, phi.T, beta=1.0, c=acc, trans=0, lower=0, overwrite_c=1)
 
     for s in samples:
-        if acc is None:
+        if count == 0:
             n = s.n
-            dim = _check_moment_dim(n, t)
-            acc = np.zeros((dim, dim), order="F")
+            d_sym = sym_dim(n, t)
         elif s.n != n:
             raise ValueError("all samples must share the same n")
-        psi = to_statevector(s)
-        vec = psi
-        for _ in range(t - 1):
-            vec = np.kron(vec, psi)
-        block.append(vec)
         count += 1
-        if len(block) >= chunk:
-            flush_block()
-    if acc is None:
+        check_moment_size(n, t, count)
+        held.append(to_statevector(s))
+        if count > d_sym:
+            if acc is None:
+                idx, weights = _multiset_coordinates(1 << n, t)
+                acc = np.zeros((d_sym, d_sym), order="F")
+            while len(held) >= chunk:
+                flush(held[:chunk])
+                del held[:chunk]
+    if count == 0:
         raise ValueError("need at least one sample")
-    flush_block()
+    if acc is None:
+        psi = np.stack(held)
+        held.clear()
+        gram = psi @ psi.T
+        if t > 1:
+            gram **= t
+        return MomentMatrix(t, gram / count, "gram", d_sym)
+    if held:
+        flush(held)
     full = np.triu(acc) + np.triu(acc, 1).T
     return MomentMatrix(t, full / count)
 
@@ -194,32 +255,33 @@ def empirical_moment(samples: Iterable[SubsetState], t: int, chunk: int = 512) -
 def haar_moment(n: int, t: int) -> MomentMatrix:
     """t-th moment of the maximally random state ensemble.
 
-    The symmetrizer (1/t!) sum over tensor-factor permutations, divided
-    by its trace binom(2^n + t - 1, t).
-    """
-    if t < 1:
-        raise ValueError("t must be positive")
-    if t > HAAR_MAX_T:
-        raise ValueError(f"haar moment construction capped at t <= {HAAR_MAX_T}")
-    dim = _check_moment_dim(n, t)
-    d = 1 << n
-    acc = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    digits = [(cols // d**(t - 1 - j)) % d for j in range(t)]  # digit j = factor j's index
-    for perm in permutations(range(t)):
-        rows = np.zeros(dim, dtype=np.int64)
-        for j in range(t):
-            # factor j of the permuted state carries factor perm[j] of the input
-            rows += digits[perm[j]] * d ** (t - 1 - j)
-        acc[rows, cols] += 1.0
-    acc /= math.factorial(t)
-    return MomentMatrix(t, acc / np.trace(acc))
+    It is Pi_sym / d_sym, which in multiset coordinates is I / d_sym, so
+    nothing is allocated."""
+    return MomentMatrix(t, None, "uniform", sym_dim(n, t))
 
 
 def trace_distance(a: MomentMatrix, b: MomentMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    """Half the sum of absolute eigenvalues of a - b.
+
+    Against the uniform moment I / d_sym the spectrum of a - b is that of
+    the matrix a holds, shifted by -1 / d_sym, plus d_sym - r copies of
+    -1 / d_sym for a matrix of side r.  Two held matrices must both be
+    moment-form.
+    """
+    if a.t != b.t or a.dim != b.dim:
+        raise ValueError(f"moment mismatch: t={a.t}, dim {a.dim} vs t={b.t}, dim {b.dim}")
+    if a.form == "uniform":
+        a, b = b, a
+    if a.form == "uniform":
+        return 0.0
+    if b.form == "uniform":
+        inv = 1.0 / a.dim
+        shifted = a.matrix.copy()
+        shifted[np.diag_indices_from(shifted)] -= inv
+        eig = np.linalg.eigvalsh(shifted)
+        return float(0.5 * (np.abs(eig).sum() + (a.dim - len(eig)) * inv))
+    if a.form == "gram" or b.form == "gram":
+        raise ValueError("a Gram-form moment can only be compared with the uniform moment")
     eig = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.abs(eig).sum())
 

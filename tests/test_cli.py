@@ -224,6 +224,19 @@ class TestVerify:
         assert obj["results"][0]["name"] == "sign_vector"
         assert obj["results"][0]["passed"]
 
+    def test_subsets_suite_falls_back_to_collisions(self, tmp_path):
+        # binom(2^16, 4) is far past the enumerable 10^5 subsets
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", "subsets", "--n", "16", "--k", "8", "--t", "4",
+            "--alpha", "16.0", "--m", "2", "--trials", "300", "--seed", "5",
+            "--report", str(rep),
+        )
+        assert res.returncode == 0, res.stderr
+        [r] = read_json(rep)["results"]
+        assert r["name"] == "subset_collision"
+        assert r["passed"]
+
     def test_signs_suite_checks_trials_before_running(self, tmp_path):
         # m*p = 80 > n fails as soon as a trial draws its circuit, so
         # getting the trials message shows the check runs before any trial
@@ -286,6 +299,26 @@ class TestMoments:
         results = read_json(rep)["results"]
         # two independent oracle runs: close but not identical
         assert abs(results["td_empirical"] - results["td_oracle_baseline"]) < 0.1
+
+    def test_t3_below_d_sym(self, tmp_path):
+        # 200 samples against d_sym = binom(66, 3) = 45760: the 200 x 200 Gram side
+        rep = tmp_path / "m.json"
+        res = run_cli("moments", "--n", "6", "--k", "4", "--t", "3", "--samples", "200",
+                      "--report", str(rep))
+        assert res.returncode == 0, res.stderr
+        results = read_json(rep)["results"]
+        for key in ("td_empirical", "td_oracle_baseline"):
+            assert 0.0 < results[key] <= 1.0
+            assert results[key] >= 1.0 - 200 / 45760 - 1e-12
+
+    def test_over_guard_exits_1(self, tmp_path):
+        rep = tmp_path / "m.json"
+        res = run_cli("moments", "--n", "6", "--k", "4", "--t", "3", "--samples", "5000",
+                      "--report", str(rep))
+        assert res.returncode == 1
+        assert "over the cap" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not rep.exists()
 
 
 def sha256(path):

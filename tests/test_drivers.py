@@ -92,3 +92,14 @@ class TestCcxCounts:
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         drivers.run_bit_battery("serial", 16, 6, 4, 2, 4.0, 1, 0)
+
+
+def test_moment_guard_runs_before_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise RuntimeError("a state was sampled")
+
+    monkeypatch.setattr(drivers, "gate_opt_thermalizer", sampled)
+    monkeypatch.setattr(drivers.subsetstate, "sample_oracle_state", sampled)
+    # t = 3 at n = 6: d_sym = 45760, so 5000 samples need a 5000 x 5000 Gram
+    with pytest.raises(ValueError, match="over the cap"):
+        drivers.run_moment_experiment(6, 4, 3, 5000, master_seed=0)

@@ -1,6 +1,14 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from conftest import (
+    dense_empirical_moment,
+    dense_haar_moment,
+    dense_trace_distance,
+)
+from subsetphase import subsetstate
 from subsetphase.circuit import MCX, Circuit, ControlTerm, Gate, Layer
 from subsetphase.copysim import CopyEnsemble, apply_gate
 from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
@@ -8,6 +16,7 @@ from subsetphase.rng import stream
 from subsetphase.subsetstate import (
     MomentMatrix,
     apply_circuit,
+    check_moment_size,
     empirical_moment,
     haar_moment,
     initial_subset_state,
@@ -103,13 +112,17 @@ class TestStatevector:
 
 
 class TestHaarMoment:
+    def test_uniform_on_sym(self):
+        h = haar_moment(3, 2)
+        assert (h.form, h.matrix, h.dim) == ("uniform", None, comb(9, 2))
+
     def test_t1_is_maximally_mixed(self):
-        h = haar_moment(3, 1)
-        assert np.allclose(h.matrix, np.eye(8) / 8)
+        assert haar_moment(3, 1).dim == 8
+        assert np.allclose(dense_haar_moment(3, 1), np.eye(8) / 8)
 
     def test_trace_one(self):
         for n, t in ((2, 2), (1, 3), (3, 2)):
-            assert np.trace(haar_moment(n, t).matrix) == pytest.approx(1.0)
+            assert np.trace(dense_haar_moment(n, t)) == pytest.approx(1.0)
 
     def test_single_site_t2_closed_form(self):
         swap = np.zeros((4, 4))
@@ -117,26 +130,40 @@ class TestHaarMoment:
             for j in range(2):
                 swap[2 * j + i, 2 * i + j] = 1.0
         expected = (np.eye(4) + swap) / 2 / 3  # symmetrizer over dim binom(3,2)
-        assert np.allclose(haar_moment(1, 2).matrix, expected)
+        assert np.allclose(dense_haar_moment(1, 2), expected)
 
     def test_psd(self):
-        w = np.linalg.eigvalsh(haar_moment(2, 2).matrix)
+        # the symmetrizer's range is Sym^t, so I / d_sym on it is exact
+        w = np.linalg.eigvalsh(dense_haar_moment(2, 2))
         assert w.min() > -1e-9
+        assert np.count_nonzero(w > 1e-9) == haar_moment(2, 2).dim
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            haar_moment(4, 4)
+            haar_moment(0, 1)
         with pytest.raises(ValueError):
-            haar_moment(13, 1)
+            haar_moment(2, 0)
 
 
 class TestEmpiricalMoment:
     def test_single_sample_t1_projector(self):
         s = initial_subset_state(3, 2)
-        m = empirical_moment([s], 1)
+        m = dense_empirical_moment([s], 1)
         v = to_statevector(s)
-        assert np.allclose(m.matrix, np.outer(v, v))
-        assert np.trace(m.matrix) == pytest.approx(1.0)
+        assert np.allclose(m, np.outer(v, v))
+        assert np.trace(m) == pytest.approx(1.0)
+
+    def test_single_sample_gram_is_one(self):
+        m = empirical_moment([initial_subset_state(3, 2)], 2)
+        assert (m.form, m.dim) == ("gram", comb(9, 2))
+        assert m.matrix == pytest.approx(np.ones((1, 1)))
+
+    def test_t1_moment_is_full_space_moment(self):
+        # at t = 1 the multiset coordinates are the statevector itself
+        states = [sample_oracle_state(3, 2, stream(23, "t1", i)) for i in range(20)]
+        m = empirical_moment(states, 1)
+        assert m.form == "moment"
+        assert np.allclose(m.matrix, dense_empirical_moment(states, 1), atol=1e-15)
 
     def test_oracle_t1_near_maximally_mixed(self):
         # uniform subsets with uniform signs average to I/2^n at t=1
@@ -147,16 +174,89 @@ class TestEmpiricalMoment:
     def test_psd_and_trace(self):
         states = [sample_oracle_state(3, 2, stream(24, "o2", i)) for i in range(50)]
         m = empirical_moment(states, 2)
+        assert m.form == "moment" and m.dim == 36
+        assert np.trace(m.matrix) == pytest.approx(1.0, rel=1e-9)
+        assert np.linalg.eigvalsh(m.matrix).min() > -1e-9
+
+    def test_gram_psd_and_trace(self):
+        states = [sample_oracle_state(3, 2, stream(24, "g2", i)) for i in range(30)]
+        m = empirical_moment(states, 2)
+        assert m.form == "gram" and m.matrix.shape == (30, 30)
         assert np.trace(m.matrix) == pytest.approx(1.0, rel=1e-9)
         assert np.linalg.eigvalsh(m.matrix).min() > -1e-9
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            empirical_moment([initial_subset_state(7, 2)], 2)
+        # t = 3 at n = 6 fits below d_sym = 45760 samples only while the
+        # min(N, d_sym)-sided matrix stays under the cap
+        check_moment_size(6, 3, 4096)
+        with pytest.raises(ValueError, match="cap"):
+            check_moment_size(6, 3, 4097)
+        with pytest.raises(ValueError, match="cap"):
+            check_moment_size(25, 1, 1)
+
+    def test_guard_stops_the_stream(self, monkeypatch):
+        # n = 2, t = 2: d_sym = 10, so 9 samples need a 9 x 9 Gram
+        monkeypatch.setattr(subsetstate, "MOMENT_MAX_CELLS", 64)
+        consumed = []
+
+        def states():
+            for i in range(100):
+                consumed.append(i)
+                yield initial_subset_state(2, 1)
+
+        with pytest.raises(ValueError, match="cap"):
+            empirical_moment(states(), 2)
+        assert len(consumed) == 9
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             empirical_moment([], 2)
+
+
+def algorithm_states(n, k, t, count, seed):
+    """Bit then sign thermalizer, as ``run_moment_experiment`` evolves them,
+    with parameters that fit n <= 4."""
+    for i in range(count):
+        bit = gate_opt_thermalizer(GenParams(n=n, k=k, t=t, alpha=16.0, m=1, seed=seed + i))
+        sign = sign_thermalizer(n, 1, 24.0, t, 3, seed=seed + 10_000 + i)
+        yield apply_circuit(apply_circuit(initial_subset_state(n, k), bit), sign)
+
+
+ENSEMBLES = {
+    "frozen": lambda n, k, t, count, seed: [initial_subset_state(n, k)] * count,
+    "oracle": lambda n, k, t, count, seed: [
+        sample_oracle_state(n, k, stream(seed, "engine", i)) for i in range(count)
+    ],
+    "algorithm": lambda n, k, t, count, seed: list(algorithm_states(n, k, t, count, seed)),
+}
+
+
+class TestEngineAgainstOracle:
+    """The Sym^t engine against the full-space ``kron`` moment, the
+    permutation symmetrizer and ``eigvalsh`` of their difference."""
+
+    @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+    @pytest.mark.parametrize("side", ["below", "equal", "above"])
+    @pytest.mark.parametrize("n,k,t", [(4, 2, 1), (4, 2, 2), (3, 2, 3)])
+    def test_distance_matches_dense(self, n, k, t, side, ensemble):
+        d_sym = comb((1 << n) + t - 1, t)
+        count = {"below": d_sym // 2, "equal": d_sym, "above": 2 * d_sym + 7}[side]
+        states = ENSEMBLES[ensemble](n, k, t, count, 31 + t)
+        # 64-sample blocks put the switch to the d_sym side mid-block
+        moment = empirical_moment(states, t, chunk=64)
+        assert moment.form == ("moment" if side == "above" else "gram")
+        got = trace_distance(moment, haar_moment(n, t))
+        want = dense_trace_distance(dense_empirical_moment(states, t), dense_haar_moment(n, t))
+        assert got == pytest.approx(want, abs=1e-12)
+        if side != "above":
+            # rank <= N leaves d_sym - N eigenvalues at -1 / d_sym
+            assert got >= 1.0 - count / d_sym - 1e-12
+
+    def test_frozen_distance_closed_form(self):
+        # one pure state: eigenvalues 1 - 1/d_sym once and -1/d_sym otherwise
+        got = trace_distance(empirical_moment([initial_subset_state(4, 2)] * 5, 2),
+                             haar_moment(4, 2))
+        assert got == pytest.approx(1.0 - 1.0 / 136, abs=1e-14)
 
 
 class TestTraceDistance:
@@ -174,6 +274,16 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(haar_moment(1, 1), haar_moment(2, 1))
+
+    def test_symmetric_in_arguments(self):
+        m = empirical_moment([sample_oracle_state(3, 2, stream(26, "sym", i)) for i in range(9)], 2)
+        h = haar_moment(3, 2)
+        assert trace_distance(m, h) == trace_distance(h, m)
+
+    def test_gram_needs_uniform_partner(self):
+        m = empirical_moment([initial_subset_state(3, 2)], 1)
+        with pytest.raises(ValueError):
+            trace_distance(m, MomentMatrix(1, np.eye(8) / 8))
 
     def test_oracle_ensemble_beats_frozen_initial(self):
         # the un-evolved initial-state ensemble is a fixed pure state and
