@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .circuit import ccx_ladder_count
 from .f2linalg import RankBoundParams, full_rank_probability_bound
-from .generators import ceil_rounds
+from .generators import _depth_opt_stages, ceil_rounds
 
 CCX_REGIME = "gate-opt-ccx"
 MCX_REGIME = "gate-opt-mcx"
@@ -95,8 +95,9 @@ def predicted_cost(algorithm: str, n: int, k: int, t: int, alpha: float, m: int,
     """Predict (gates, unit depth, decomposed depth) for a generator.
 
     ``p`` is only consulted for the sign thermalizer (parallel slots per
-    layer).  Out-of-regime parameters are not rejected here; use
-    ``premise_check`` to vet them.
+    layer).  Out-of-regime parameters are not rejected here, except
+    depth-opt shapes that have no stage table; use ``premise_check`` to
+    vet them.
     """
     rounds = ceil_rounds(alpha * t)
     if algorithm == "gate-opt":
@@ -107,13 +108,7 @@ def predicted_cost(algorithm: str, n: int, k: int, t: int, alpha: float, m: int,
         return PredictedCost(gates, slots, decomposed, gates * cost)
     if algorithm == "depth-opt":
         cost = ccx_ladder_count(m)
-        stage_slots = []
-        s = k
-        while s < n:
-            p_stage = s // m
-            stage_slots.append(min(p_stage, n - s))
-            s += p_stage
-        stage_slots.append(min((n - k) // m, k))
+        stage_slots = [slots for _, _, _, slots, _ in _depth_opt_stages(n, k, m)]
         gates = rounds * sum(stage_slots) / 2.0
         decomposed = rounds * sum(
             cost * (1.0 - 0.5**g) + 1.0 * 0.5**g for g in stage_slots

@@ -51,6 +51,11 @@ from .generators import (
 from .rng import RNG_KIND, derive_seed, stream
 
 
+# ``verify --trials`` defaults; the sign test refuses fewer than 10^4
+VERIFY_TRIALS = 2000
+SIGN_VERIFY_TRIALS = 10_000
+
+
 class StrictFailure(Exception):
     """Raised by --strict runs whose checks did not pass; maps to exit 2."""
 
@@ -316,7 +321,8 @@ def moments(n, k, t, samples, alpha_bit, m_bit, alpha_sign, m_sign, p_sign, seed
 @click.option("--alpha", type=float, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--p", type=int, default=None, help="Sign suite: parallel slots per layer.")
-@click.option("--trials", type=int, default=2000, show_default=True)
+@click.option("--trials", type=int, default=None,
+              help=f"Trials [default: {VERIFY_TRIALS}; {SIGN_VERIFY_TRIALS} for --suite signs].")
 @click.option("--seed", type=int, default=0)
 @click.option("--regime", type=click.Choice(analysis.REGIMES), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 on premise violations or failed tests.")
@@ -324,6 +330,8 @@ def moments(n, k, t, samples, alpha_bit, m_bit, alpha_sign, m_sign, p_sign, seed
 def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict, report):
     """Run a thermalization test battery and emit TestReports as JSON."""
     _check_premises(regime, strict, n=n, k=k, t=t, alpha=alpha, m=m, p=p)
+    if trials is None:
+        trials = SIGN_VERIFY_TRIALS if suite == "signs" else VERIFY_TRIALS
     reports: list[stats.TestReport] = []
     if suite == "bits":
         if k is None:

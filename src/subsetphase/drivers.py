@@ -8,7 +8,7 @@ the exact stream that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import subsetstate
 from .circuit import ccx_ladder_count
 from .copysim import (
     CopyEnsemble,
-    apply_circuit,
     run_steps,
     sample_initial_copies,
     step_program,
@@ -35,11 +34,9 @@ from .f2linalg import (
 from .generators import (
     GenParams,
     ceil_rounds,
-    depth_opt_thermalizer,
+    depth_opt_program,
     gate_opt_program,
-    gate_opt_thermalizer,
     sign_program,
-    sign_thermalizer,
 )
 from .rng import derive_seed, stream
 
@@ -65,12 +62,42 @@ class BitBatteryResult:
         return all(self.distinct)
 
 
-# Trials simulated together by the gate-opt battery and by the sign
+# Trials simulated together by the bit batteries and by the sign
 # trials.  Results do not depend on them: every trial keeps its own named
-# streams.  Sign row sets are padded to the longest of their block, so
-# their smaller block keeps the padding's memory small.
+# streams.  A bit-battery block also closes once its rows hold
+# _BLOCK_CELLS uint64 words.  Sign row sets are padded to the longest of
+# their block, so their smaller block keeps the padding's memory small.
+# A block of moment samples holds about _MOMENT_BLOCK_ROWS subset-table
+# rows.
 _TRIAL_BLOCK = 256
+_BLOCK_CELLS = 1 << 21
 _SIGN_BLOCK = 64
+_MOMENT_BLOCK_ROWS = 4096
+
+
+def pack_block(row_sets: Sequence[Sequence[tuple[np.ndarray, ...]]]) -> tuple[np.ndarray, ...]:
+    """Stack per-trial row sets into zero-padded (B, R, ...) arrays.
+
+    ``row_sets[b][j]`` is segment j of trial b: a tuple of arrays that
+    share their leading (row) axis, such as (masks, patterns, flips).
+    Segment j of every trial is padded to the longest segment j of the
+    block, so each segment starts at the same row in every trial and a
+    step boundary between segments stays one.  Returns one array per
+    tuple slot.  A padding row is all zero: it reads no site, flips none
+    and is off the diagonal, so it changes nothing.
+    """
+    lengths = np.array([[len(seg[0]) for seg in trial] for trial in row_sets], dtype=np.int64)
+    widths = lengths.max(axis=0, initial=0)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    out = tuple(
+        np.zeros((len(row_sets), offsets[-1]) + a.shape[1:], dtype=a.dtype) for a in row_sets[0][0]
+    )
+    for b, trial in enumerate(row_sets):
+        for j, seg in enumerate(trial):
+            lo = offsets[j]
+            for dst, src in zip(out, seg):
+                dst[b, lo:lo + len(src)] = src
+    return out
 
 
 def run_bit_battery(
@@ -90,55 +117,49 @@ def run_bit_battery(
     diagnostics on (gate-opt only), the stage-1 condition matrix is
     recorded through the run and its rank checked against t.
 
-    Gate-opt trials run as packed round programs, a block of trials per
-    ``copysim.run_steps`` call; depth-opt trials run their ``Circuit``.
+    Trials draw their thermalizer as packed rows (``gate_opt_program``
+    or ``depth_opt_program``) and run a block of trials per
+    ``copysim.run_steps`` call; no gate objects are built.  Depth-opt
+    rows are padded stage by stage, so each stage stays one step.
     Every gate carries m controls, so a trial's CCX total is its gate
     count times the ladder cost.
     """
-    if algorithm == "gate-opt":
-        return _gate_opt_battery(n, k, t, m, alpha, trials, master_seed, diagnostics)
-    if algorithm != "depth-opt":
+    if algorithm not in ("gate-opt", "depth-opt"):
         raise ValueError(f"unknown bit thermalizer {algorithm!r}")
     result = BitBatteryResult(ensembles=[])
     per_gate_ccx = ccx_ladder_count(m)
-    for i in range(trials):
-        circuit = depth_opt_thermalizer(
-            GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=derive_seed(master_seed, "bit-circuit", i))
-        )
-        copies = sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i))
-        final = apply_circuit(copies, circuit)
-        result.ensembles.append(final)
-        result.distinct.append(final.is_distinct())
-        result.ccx_counts.append(circuit.gate_count * per_gate_ccx)
-    return result
-
-
-def _gate_opt_battery(
-    n: int, k: int, t: int, m: int, alpha: float, trials: int, master_seed: int, diagnostics: bool
-) -> BitBatteryResult:
-    result = BitBatteryResult(ensembles=[])
-    per_gate_ccx = ccx_ladder_count(m)
     base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
-    rounds = base.rounds
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        block = range(lo, min(lo + _TRIAL_BLOCK, trials))
-        masks, patterns, flips = (
-            np.empty((len(block), 2 * rounds, words_needed(n)), dtype=np.uint64) for _ in range(3)
-        )
+    # stage-1 gate-opt rounds read only [1, k], which no stage-1 round
+    # writes: their satisfaction is the condition matrix
+    record = range(base.rounds) if algorithm == "gate-opt" and diagnostics else ()
+    W = words_needed(n)
+    end = 0
+    while end < trials:
+        # a block closes at _TRIAL_BLOCK trials or _BLOCK_CELLS row words,
+        # whichever comes first: wide depth-opt trials carry many rows
+        lo = end
+        row_sets = []
         gates = []
-        for b, i in enumerate(block):
-            prog = gate_opt_program(replace(base, seed=derive_seed(master_seed, "bit-circuit", i)))
-            masks[b], patterns[b], flips[b] = prog.masks, prog.patterns, prog.flips
-            gates.append(int(prog.fired.sum()))
+        cells = 0
+        while end < trials and end - lo < _TRIAL_BLOCK and cells < _BLOCK_CELLS:
+            gp = replace(base, seed=derive_seed(master_seed, "bit-circuit", end))
+            if algorithm == "gate-opt":
+                prog = gate_opt_program(gp)
+                row_sets.append([(prog.masks, prog.patterns, prog.flips)])
+                gates.append(int(prog.fired.sum()))
+            else:
+                prog = depth_opt_program(gp)
+                row_sets.append(prog.stages())
+                gates.append(len(prog.masks))
+            cells += len(prog.masks) * W
+            end += 1
+        block = range(lo, end)
         initial = [sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i)) for i in block]
         copies = np.stack([e.copies for e in initial])
-        # stage-1 rounds read only [1, k], which no stage-1 round writes:
-        # their satisfaction is the condition matrix
-        prog = step_program(masks, patterns, flips, record=range(rounds) if diagnostics else ())
-        recorded = run_steps(prog, copies)
+        recorded = run_steps(step_program(*pack_block(row_sets), record=record), copies)
         for b, e in enumerate(initial):
             final = CopyEnsemble(n, copies[b], e.signs, check=False)
-            if diagnostics:
+            if record:
                 x = BitMatrix.from_dense(recorded[b])
                 result.x_ranks.append(rank(x))
                 result.x_full_rank.append(is_full_row_rank(x))
@@ -169,27 +190,19 @@ def run_sign_trials(
     vectors: list[np.ndarray] = []
     gate_counts: list[int] = []
     layer_count = ceil_rounds(alpha * t / p)
-    W = words_needed(n)
     for lo in range(0, trials, _SIGN_BLOCK):
         block = range(lo, min(lo + _SIGN_BLOCK, trials))
-        masks, patterns = np.zeros((2, len(block), layer_count * p, W), dtype=np.uint64)
-        diagonal = np.zeros((len(block), layer_count * p), dtype=bool)
+        row_sets = []
         initial = []
-        for b, i in enumerate(block):
+        for i in block:
             prog = sign_program(n, p, alpha, t, m, seed=derive_seed(master_seed, "sign-circuit", i))
-            fired_masks, fired_patterns = prog.rows()
-            fired = len(fired_masks)
-            masks[b, :fired], patterns[b, :fired] = fired_masks, fired_patterns
-            diagonal[b, :fired] = True
-            gate_counts.append(fired)
+            row_sets.append([prog.rows()])
+            gate_counts.append(int(prog.fired.sum()))
             initial.append(sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i)))
-        used = max(gate_counts[lo:])
+        masks, patterns, flips, diagonal = pack_block(row_sets)
         copies = np.stack([e.copies for e in initial])
         signs = np.stack([e.signs for e in initial])
-        rows = step_program(
-            masks[:, :used], patterns[:, :used], np.zeros((used, W), dtype=np.uint64), diagonal[:, :used]
-        )
-        run_steps(rows, copies, signs)
+        run_steps(step_program(masks, patterns, flips, diagonal), copies, signs)
         vectors.extend(signs)
     return SignTrialResult(vectors, layer_count, gate_counts)
 
@@ -225,6 +238,50 @@ def ensemble_subsets(ensembles: Sequence[CopyEnsemble]) -> list[tuple[int, ...]]
     return [tuple(sorted(e.to_ints())) for e in ensembles]
 
 
+def moment_states(
+    n: int,
+    k: int,
+    t: int,
+    samples: int,
+    master_seed: int,
+    alpha_bit: float,
+    m_bit: int,
+    alpha_sign: float,
+    m_sign: int,
+    p_sign: int,
+) -> Iterator[subsetstate.SubsetState]:
+    """The algorithm ensemble of ``run_moment_experiment``, in sample order.
+
+    Sample i evolves the initial subset table through the serial bit
+    thermalizer of stream ("moment-bit", i), then the sign thermalizer of
+    stream ("moment-sign", i).  A table is a batch of 2^k single copies,
+    so a block of samples runs as one (B, 2^k, W) ``copysim.run_steps``
+    call on each sample's gate-opt rows followed by its diagonal sign
+    rows.
+    """
+    initial = subsetstate.initial_subset_state(n, k)
+    bit_params = GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit)
+    block_size = max(1, _MOMENT_BLOCK_ROWS >> k)
+    for lo in range(0, samples, block_size):
+        block = range(lo, min(lo + block_size, samples))
+        row_sets = []
+        for i in block:
+            bit_prog = gate_opt_program(replace(bit_params, seed=derive_seed(master_seed, "moment-bit", i)))
+            sign_prog = sign_program(
+                n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
+            )
+            off_diagonal = np.zeros(len(bit_prog.masks), dtype=bool)
+            row_sets.append([
+                (bit_prog.masks, bit_prog.patterns, bit_prog.flips, off_diagonal),
+                sign_prog.rows(),
+            ])
+        images = np.repeat(initial.images[None], len(block), axis=0)
+        signs = np.repeat(initial.signs[None], len(block), axis=0)
+        run_steps(step_program(*pack_block(row_sets)), images, signs)
+        for b in range(len(block)):
+            yield subsetstate.SubsetState(n, k, images[b], signs[b])
+
+
 @dataclass
 class MomentExperiment:
     """Trace distances of a primary state ensemble and of an always-run
@@ -255,8 +312,9 @@ def run_moment_experiment(
 ) -> MomentExperiment:
     """Empirical t-th-moment comparison at tiny scale.
 
-    The algorithm ensemble evolves the initial subset state through a
-    serial bit thermalizer followed by a sign thermalizer; the oracle
+    The algorithm ensemble (``moment_states``) evolves the initial subset
+    table through the rows of a serial bit thermalizer followed by a
+    sign thermalizer, a block of samples per kernel call; the oracle
     baseline samples uniform subsets with uniform signs directly and is
     always computed.  ``primary="oracle"`` swaps the measured ensemble
     for a second, independent oracle run (a null comparison).
@@ -270,25 +328,14 @@ def run_moment_experiment(
     subsetstate.check_moment_size(n, t, samples)
     haar = subsetstate.haar_moment(n, t)
 
-    def alg_states():
-        for i in range(samples):
-            bit_circuit = gate_opt_thermalizer(
-                GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit,
-                          seed=derive_seed(master_seed, "moment-bit", i))
-            )
-            sign_circuit = sign_thermalizer(
-                n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
-            )
-            state = subsetstate.initial_subset_state(n, k)
-            state = subsetstate.apply_circuit(state, bit_circuit)
-            yield subsetstate.apply_circuit(state, sign_circuit)
-
     def oracle_states(tag: str):
         for i in range(samples):
             yield subsetstate.sample_oracle_state(n, k, stream(master_seed, tag, i))
 
     if primary == "algorithm":
-        primary_states = alg_states()
+        primary_states = moment_states(
+            n, k, t, samples, master_seed, alpha_bit, m_bit, alpha_sign, m_sign, p_sign
+        )
     else:
         primary_states = oracle_states("moment-primary-oracle")
     td_primary = subsetstate.trace_distance(subsetstate.empirical_moment(primary_states, t), haar)

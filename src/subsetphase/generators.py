@@ -7,22 +7,25 @@ Five constructions, all pure functions of (parameters, seed):
 * ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
   thermalizer that keeps the total gate count low, as packed round
   arrays or as the equivalent ``Circuit``.
-* ``depth_opt_thermalizer``: staged parallel bit thermalizer that grows
-  the control region geometrically to keep the depth low.
+* ``depth_opt_program`` / ``depth_opt_thermalizer``: staged parallel bit
+  thermalizer that grows the control region geometrically to keep the
+  depth low, as packed rows of its fired slots or as the equivalent
+  ``Circuit``.
 * ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
   that randomize the sign bits, as slot arrays or as the equivalent
   ``Circuit``.
 
-Generation is fully decoupled from simulation: generators emit
-``Circuit`` values (plus round/stage metadata for diagnostics) or, for
-gate-opt and sign, arrays, and never touch ensemble state.  Each
-generator's random stream is consumed in one place.
+Generation is fully decoupled from simulation: generators emit arrays,
+which the drivers run, or ``Circuit`` values (plus round/stage metadata
+for diagnostics), which ``gen`` writes, and never touch ensemble state.
+Each generator's random stream is consumed in one place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -304,6 +307,56 @@ def _depth_opt_rounds(gp: GenParams):
             yield (stage, r, *_prmc_raw(n, x1, x2, m, p, rng))
 
 
+@dataclass(frozen=True)
+class DepthOptProgram:
+    """Array form of one staged thermalizer: a row per fired slot.
+
+    Rows run stage by stage, round by round and slot by slot, the order
+    of ``depth_opt_thermalizer``'s gates.  Row i flips the site set in
+    ``flips[i]`` on the copies that match ``patterns[i]`` on the sites set
+    in ``masks[i]``, packed like copies.  ``stage_rows[j]`` counts the
+    rows of ``_depth_opt_stages`` row j, the closing stage last.
+    """
+
+    masks: np.ndarray
+    patterns: np.ndarray
+    flips: np.ndarray
+    stage_rows: np.ndarray
+
+    def stages(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(masks, patterns, flips) of each stage, in order."""
+        bounds = np.cumsum(self.stage_rows)[:-1]
+        return list(zip(*(np.split(a, bounds) for a in (self.masks, self.patterns, self.flips))))
+
+
+def depth_opt_program(gp: GenParams) -> DepthOptProgram:
+    """Draw the staged thermalizer as packed rows of its fired slots.
+
+    Each stage's rounds from ``_depth_opt_rounds`` are stacked and its
+    fired slots selected in one step: slot x of a round conditions on
+    the round's x-th group and targets site target_base + x + 1.
+    """
+    W = words_needed(gp.n)
+    packed = []
+    stage_rows = []
+    for (_, _, p, slots, target_base), draws in groupby(_depth_opt_rounds(gp), key=lambda d: d[0]):
+        _, _, positions, values, apply_bits = zip(*draws)
+        shape = (len(positions), p, gp.m)
+        fired = np.array(apply_bits)[:, :slots] == 1
+        sites = np.array(positions).reshape(shape)[:, :slots][fired]
+        ones = sites * np.array(values).reshape(shape)[:, :slots][fired]
+        targets = target_base + 1 + np.nonzero(fired)[1]
+        packed.append((pack_sites(np.array((sites, ones)), W), pack_sites(targets[:, None], W)))
+        stage_rows.append(len(targets))
+    conditions = np.concatenate([c for c, _ in packed], axis=1)
+    return DepthOptProgram(
+        masks=conditions[0],
+        patterns=conditions[1],
+        flips=np.concatenate([f for _, f in packed]),
+        stage_rows=np.array(stage_rows, dtype=np.int64),
+    )
+
+
 def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     """Staged parallel bit thermalizer.
 
@@ -362,12 +415,13 @@ class SignProgram:
     values: np.ndarray
     fired: np.ndarray
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, patterns) of the fired slots, layer by layer: the full
-        condition of each signed MCZ, packed like copies."""
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(masks, patterns, flips, diagonal) of the fired slots, layer by
+        layer: the full condition of each signed MCZ, packed like copies,
+        as a diagonal row that flips nothing."""
         sites = self.sites[self.fired]
-        packed = pack_sites(np.array((sites, sites * self.values[self.fired])), words_needed(self.n))
-        return packed[0], packed[1]
+        masks, patterns = pack_sites(np.array((sites, sites * self.values[self.fired])), words_needed(self.n))
+        return masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool)
 
 
 def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:

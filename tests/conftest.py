@@ -7,6 +7,9 @@ from itertools import permutations
 
 import numpy as np
 
+from subsetphase import subsetstate
+from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.rng import derive_seed
 from subsetphase.subsetstate import to_statevector
 
 
@@ -59,3 +62,22 @@ def dense_haar_moment(n: int, t: int) -> np.ndarray:
 def dense_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the sum of absolute eigenvalues of a - b."""
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def reference_moment_states(
+    n, k, t, samples, master_seed, alpha_bit, m_bit, alpha_sign, m_sign, p_sign
+):
+    """Per-sample ``Circuit`` path of the moment experiment's algorithm
+    ensemble: build each sample's gate-opt and sign circuits and walk the
+    subset table through them, one sample at a time."""
+    for i in range(samples):
+        bit_circuit = gate_opt_thermalizer(
+            GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit,
+                      seed=derive_seed(master_seed, "moment-bit", i))
+        )
+        sign_circuit = sign_thermalizer(
+            n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
+        )
+        state = subsetstate.initial_subset_state(n, k)
+        state = subsetstate.apply_circuit(state, bit_circuit)
+        yield subsetstate.apply_circuit(state, sign_circuit)

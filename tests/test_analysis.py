@@ -90,6 +90,18 @@ class TestPredictedCost:
             stages = depth_opt_stage_count(40, 8, 2)
             assert pred.unit_depth == (stages + 1) * gp.rounds
 
+    @pytest.mark.parametrize("n", [20, 40, 64, 257, 1024])
+    @pytest.mark.parametrize("k,m", [(8, 2), (12, 3), (15, 4)])
+    @pytest.mark.parametrize("t,alpha", [(2, 2.0), (5, 1.5), (8, 6.0)])
+    def test_depth_opt_unit_depth_counts_stages(self, n, k, m, t, alpha):
+        rounds = math.ceil(alpha * t)
+        pred = predicted_cost("depth-opt", n, k, t, alpha, m)
+        assert pred.unit_depth == (depth_opt_stage_count(n, k, m) + 1) * rounds
+
+    def test_depth_opt_needs_a_stage_table(self):
+        with pytest.raises(ValueError):
+            predicted_cost("depth-opt", 16, 3, 2, 2.0, 4)
+
     def test_sign_unit_depth_cases(self):
         # full-width parallel single-site conditions finish in one layer
         assert predicted_cost("sign", 64, 64, 8, 8.0, 1, p=64).unit_depth == 1

@@ -224,6 +224,26 @@ class TestVerify:
         assert obj["results"][0]["name"] == "sign_vector"
         assert obj["results"][0]["passed"]
 
+    def test_signs_suite_default_trials(self, tmp_path):
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4.0",
+            "--m", "1", "--p", "16", "--seed", "6", "--report", str(rep),
+        )
+        assert res.returncode == 0, res.stderr
+        obj = read_json(rep)
+        assert obj["config"]["trials"] == 10_000
+        assert obj["results"][0]["samples"] == 10_000
+
+    def test_bits_suite_default_trials(self, tmp_path):
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", "bits", "--n", "16", "--k", "6", "--t", "2",
+            "--alpha", "1.0", "--m", "2", "--seed", "5", "--report", str(rep),
+        )
+        assert res.returncode == 0, res.stderr
+        assert read_json(rep)["config"]["trials"] == 2000
+
     def test_subsets_suite_falls_back_to_collisions(self, tmp_path):
         # binom(2^16, 4) is far past the enumerable 10^5 subsets
         rep = tmp_path / "v.json"
@@ -327,11 +347,12 @@ def sha256(path):
 
 class TestPinnedBytes:
     """Fixed-seed artifacts pinned by SHA-256.  The digests were recorded
-    from implementations the step kernel replaced: the per-trial
-    ``Circuit`` bit battery, the ``rmc``-replay cost profile, the earlier
-    circuit walkers, a separate sign kernel and the stream-replay sign and
-    depth-opt cost profiles.  A change here means the random streams or
-    the report layout moved."""
+    from implementations the step kernel and the array programs replaced:
+    the per-trial ``Circuit`` bit batteries (gate-opt and depth-opt), the
+    per-sample ``Circuit`` moment path, the ``rmc``-replay cost profile,
+    the earlier circuit walkers, a separate sign kernel and the
+    stream-replay sign and depth-opt cost profiles.  A change here means
+    the random streams or the report layout moved."""
 
     BITS = ["verify", "--suite", "bits", "--n", "20", "--k", "8", "--t", "4", "--alpha", "4",
             "--m", "2", "--trials", "1000", "--seed", "11"]
@@ -347,6 +368,9 @@ class TestPinnedBytes:
             (["verify", "--suite", "bits", "--algorithm", "gate-opt", "--n", "70", "--k", "10",
               "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
              "864ca675fd37bfb88cf81ad5712941935e5d02b850db1928d4920ddad7216be6"),
+            (["verify", "--suite", "bits", "--algorithm", "depth-opt", "--n", "70", "--k", "10",
+              "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
+             "62943a1ad7bb4f3676be7b1cd0010a63cc822063e4d62906046df00506a2a6ef"),
         ],
     )
     def test_verify_bits_report(self, tmp_path, args, digest):
@@ -389,6 +413,22 @@ class TestPinnedBytes:
              "af72e8f201fa7df2dca0599d2beb718bad487138f4c3ced549d1a28af7dcc5bd"),
             (["scaling", "--grid", "n=64,128;t=4,8", "--algorithm", "sign", "--seed", "3", "--out"],
              "a64d82d5e949927d51c2b790b9f49ffdbd200695e5f709d0ea53491d2a9265fa"),
+            # N < d_sym: the distances read their floor, and the bytes carry the
+            # samples only through eigensolver roundoff
+            (["moments", "--n", "6", "--k", "4", "--t", "2", "--samples", "200", "--seed", "5",
+              "--report"],
+             "e49f43abf0de4001136a83a2cd69008d4f954f0affe8f25adb5fe0fe42336924"),
+            (["moments", "--n", "6", "--k", "4", "--t", "3", "--samples", "200", "--seed", "5",
+              "--report"],
+             "f1738a747155488fececc8c1772c97face23a40bdb33348d3bd5ff5e88122832"),
+            # N > d_sym = 136: the accumulated moment
+            (["moments", "--n", "4", "--k", "2", "--t", "2", "--samples", "200", "--m-sign", "2",
+              "--seed", "5", "--report"],
+             "556742f6857291c6e0fc9b9ffb364e93a6d0cf55c1a3cdef061984cb11b0a2f2"),
+            # three words per copy
+            (["gen", "--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
+              "--m", "2", "--seed", "7", "--out"],
+             "6747962e12b5c354dde8a87f673ce1dc5fb97af5996c181b40afbbdcc9d78ee6"),
         ],
     )
     def test_written_file(self, tmp_path, args, digest):

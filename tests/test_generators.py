@@ -17,11 +17,12 @@ from subsetphase.circuit import (
     dumps_canonical,
     validate,
 )
-from subsetphase.copysim import unpack_bits
+from subsetphase.copysim import compile_circuit, unpack_bits, words_needed
 from subsetphase.generators import (
     GenParams,
     ceil_rounds,
     depth_opt_cost_profile,
+    depth_opt_program,
     depth_opt_stage_count,
     depth_opt_thermalizer,
     gate_opt_cost_profile,
@@ -309,6 +310,37 @@ class TestDepthOpt:
     def test_rejects_k_equal_n(self):
         with pytest.raises(ValueError):
             depth_opt_thermalizer(GenParams(n=8, k=8, t=1, alpha=1.0, m=2, seed=0))
+
+
+class TestDepthOptProgram:
+    @pytest.mark.parametrize(
+        "n,k,t,alpha,m",
+        [(64, 24, 8, 6.0, 2), (100, 30, 4, 2.0, 3), (128, 24, 4, 2.0, 2), (20, 8, 2, 1.0, 3)],
+    )
+    def test_rows_equal_compiled_circuit(self, n, k, t, alpha, m):
+        for seed in range(3):
+            gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
+            prog = depth_opt_program(gp)
+            want = compile_circuit(depth_opt_thermalizer(gp).layers, words_needed(n))
+            assert np.array_equal(prog.masks, want.masks)
+            assert np.array_equal(prog.patterns, want.patterns)
+            assert np.array_equal(prog.flips, want.flips)
+
+    def test_stage_rows_follow_the_circuit_stages(self):
+        gp = GenParams(n=36, k=9, t=2, alpha=2.0, m=3, seed=3)
+        c = depth_opt_thermalizer(gp)
+        prog = depth_opt_program(gp)
+        firsts = [meta["first_layer"] for meta in c.extra["stages"]] + [len(c.layers)]
+        want = [sum(len(c.layers[li].gates) for li in range(a, b)) for a, b in zip(firsts, firsts[1:])]
+        assert prog.stage_rows.tolist() == want
+        stages = prog.stages()
+        assert len(stages) == depth_opt_stage_count(36, 9, 3) + 1
+        for (masks, patterns, flips), rows in zip(stages, want):
+            assert masks.shape == patterns.shape == flips.shape == (rows, 1)
+
+    def test_rejects_m_above_k(self):
+        with pytest.raises(ValueError):
+            depth_opt_program(GenParams(n=16, k=3, t=1, alpha=1.0, m=4, seed=0))
 
 
 class TestCostProfiles:
