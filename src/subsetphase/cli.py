@@ -135,7 +135,7 @@ def gen(algorithm, n, k, t, alpha, m, p, seed, out, regime, strict):
 
 @cli.command()
 @click.option("--circuit", "circuit_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--t", "t_override", type=int, default=None, help="Override the copy count.")
 @click.option("--diagnostics", type=click.Choice(["none", "rank"]), default="none", show_default=True)

@@ -375,23 +375,6 @@ def run_steps(prog: StepProgram, copies: np.ndarray, signs: np.ndarray | None = 
     return recorded
 
 
-def evolve_arrays(
-    copies: np.ndarray,
-    signs: np.ndarray,
-    layers: Sequence,
-    probes: Sequence[tuple[int, Sequence[ControlTerm]]] = (),
-) -> list[np.ndarray]:
-    """Run layers over (t, W) copies and (t,) signs in place.
-
-    ``probes`` are (layer_index, condition) pairs as in
-    ``compile_circuit``.  Returns the per-probe satisfaction vectors in
-    probe order.
-    """
-    prog = compile_circuit(layers, copies.shape[1], probes)
-    recorded = run_steps(prog, copies[None], signs[None])
-    return list(recorded[0].T)
-
-
 def apply_circuit(e: CopyEnsemble, c: Circuit) -> CopyEnsemble:
     """Apply all layers left to right; gate order within a layer is
     irrelevant because layer supports are disjoint."""
@@ -416,15 +399,6 @@ def apply_circuit_recording(
     prog = compile_circuit(c.layers, out.copies.shape[1], probes)
     recorded = run_steps(prog, out.copies[None], out.signs[None])
     return out, BitMatrix.from_dense(recorded[0])
-
-
-def condition_matrix(e: CopyEnsemble, conditions: Sequence[Sequence[ControlTerm]]) -> BitMatrix:
-    """Condition matrix of a fixed ensemble: entry (p, q) is 1 iff copy p
-    satisfies condition q.  A condition with no terms yields an all-ones
-    column."""
-    prog = compile_circuit((), e.copies.shape[1], [(0, terms) for terms in conditions])
-    # probe rows flip nothing, so the copies are only read
-    return BitMatrix.from_dense(run_steps(prog, e.copies[None])[0])
 
 
 def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm]]]:

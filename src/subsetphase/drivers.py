@@ -146,12 +146,11 @@ def run_bit_battery(
             if algorithm == "gate-opt":
                 prog = gate_opt_program(gp)
                 row_sets.append([(prog.masks, prog.patterns, prog.flips)])
-                gates.append(int(prog.fired.sum()))
             else:
                 prog = depth_opt_program(gp)
                 row_sets.append(prog.stages())
-                gates.append(len(prog.masks))
-            cells += len(prog.masks) * W
+            gates.append(int(prog.fired.sum()))
+            cells += sum(len(masks) for masks, _, _ in row_sets[-1]) * W
             end += 1
         block = range(lo, end)
         initial = [sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i)) for i in block]
@@ -160,9 +159,9 @@ def run_bit_battery(
         for b, e in enumerate(initial):
             final = CopyEnsemble(n, copies[b], e.signs, check=False)
             if record:
-                x = BitMatrix.from_dense(recorded[b])
-                result.x_ranks.append(rank(x))
-                result.x_full_rank.append(is_full_row_rank(x))
+                x_rank = rank(BitMatrix.from_dense(recorded[b]))
+                result.x_ranks.append(x_rank)
+                result.x_full_rank.append(x_rank == t)
             result.ensembles.append(final)
             result.distinct.append(final.is_distinct())
             result.ccx_counts.append(gates[b] * per_gate_ccx)

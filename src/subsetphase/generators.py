@@ -1,24 +1,23 @@
 """Random multi-controlled circuit generators.
 
-Five constructions, all pure functions of (parameters, seed):
+Three constructions, all pure functions of (parameters, seed), each as
+an array program that is the only consumer of its random stream and as
+a ``Circuit`` that is an export view of that program:
 
-* ``rmc`` / ``prmc``: the primitive condition samplers (one shared
-  condition per round, or p disjoint conditions for parallel rounds).
 * ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
   thermalizer that keeps the total gate count low, as packed round
-  arrays or as the equivalent ``Circuit``.
+  arrays.
 * ``depth_opt_program`` / ``depth_opt_thermalizer``: staged parallel bit
   thermalizer that grows the control region geometrically to keep the
-  depth low, as packed rows of its fired slots or as the equivalent
-  ``Circuit``.
+  depth low, as arrays of its fired slots.
 * ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
-  that randomize the sign bits, as slot arrays or as the equivalent
-  ``Circuit``.
+  that randomize the sign bits, as slot arrays.
 
-Generation is fully decoupled from simulation: generators emit arrays,
-which the drivers run, or ``Circuit`` values (plus round/stage metadata
-for diagnostics), which ``gen`` writes, and never touch ensemble state.
-Each generator's random stream is consumed in one place.
+Every round draws like one of two condition samplers: ``_rmc_draw``
+(one shared condition) or ``_prmc_draw`` (p disjoint conditions).
+Generation is fully decoupled from simulation: the drivers run the
+programs, ``gen`` writes the ``Circuit`` views (plus round/stage
+metadata for diagnostics), and neither touches ensemble state.
 """
 
 from __future__ import annotations
@@ -77,32 +76,14 @@ class GenParams:
         return {"n": self.n, "k": self.k, "t": self.t, "alpha": self.alpha, "m": self.m}
 
 
-def rmc(
-    n: int, x1: int, x2: int, m: int, rng: np.random.Generator
-) -> tuple[list[ControlTerm], np.ndarray]:
-    """One round of shared-condition sampling.
-
-    Draws m distinct control positions uniformly from the window
-    [x1, x2], each with an independent fair-coin required value, plus a
-    uniform mask over the complementary region (one bit per candidate
-    target site, in the caller's target order).
-    """
-    if not (1 <= x1 < x2 <= n):
-        raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
-    window = x2 - x1 + 1
-    if not 1 <= m <= window:
-        raise ValueError(f"m={m} exceeds window size {window}")
-    picks, coins = _rmc_draw(n, window, m, rng)
-    positions = np.sort(picks)
-    controls = [ControlTerm(x1 + int(p), int(v)) for p, v in zip(positions, coins[:m])]
-    return controls, coins[m:]
-
-
 def _rmc_draw(n: int, window: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one ``rmc`` round, unvalidated.
+    """The random draws of one shared-condition round, unvalidated.
 
-    Returns the unsorted 0-based window offsets of the m controls and the
-    fused coin vector (m polarities, then the n - window target mask).
+    Draws m distinct control offsets uniformly from a window of the given
+    size, each with an independent fair-coin required value, plus a
+    uniform mask over the n - window candidate target sites.  Returns the
+    unsorted 0-based window offsets of the m controls and the fused coin
+    vector (m polarities, then the target mask).
     """
     # a permutation prefix is a uniform distinct draw; one fused coin
     # vector serves both the polarities and the mask
@@ -111,49 +92,18 @@ def _rmc_draw(n: int, window: int, m: int, rng: np.random.Generator) -> tuple[np
 
 
 def _prmc_draw(window: int, m: int, p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one ``prmc`` round, unvalidated.
+    """The random draws of one parallel round, unvalidated.
 
-    Returns the 0-based window offsets of the m*p group members in draw
-    order and one coin vector (m*p polarities, then p apply bits).
+    Draws m*p distinct offsets from a window of the given size,
+    partitioned uniformly into p groups of m (groups keep their random
+    internal order), with i.i.d. fair-coin polarities and one fair apply
+    bit per group.  Returns the 0-based window offsets of the m*p group
+    members in draw order and one coin vector (m*p polarities, then p
+    apply bits).
     """
     # a permutation prefix is a uniform random arrangement, so the
     # consecutive chunks of m form a uniform partition
     return rng.permutation(window)[: m * p], rng.integers(0, 2, size=m * p + p, dtype=np.uint8)
-
-
-def _prmc_raw(
-    n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw arrays behind ``prmc``: (positions, values, apply_bits)."""
-    if not (1 <= x1 < x2 <= n):
-        raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
-    if m < 1 or p < 1:
-        raise ValueError("m and p must be positive")
-    window = x2 - x1 + 1
-    if m * p > window:
-        raise ValueError(f"m*p={m * p} exceeds window size {window}")
-    offsets, coins = _prmc_draw(window, m, p, rng)
-    return x1 + offsets, coins[: m * p], coins[m * p :]
-
-
-def _group_terms(positions: np.ndarray, values: np.ndarray, m: int, i: int) -> list[ControlTerm]:
-    base = i * m
-    return [ControlTerm(int(positions[base + j]), int(values[base + j])) for j in range(m)]
-
-
-def prmc(
-    n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator
-) -> tuple[list[list[ControlTerm]], np.ndarray]:
-    """One parallel round: p disjoint m-site conditions plus apply bits.
-
-    Samples m*p distinct positions from [x1, x2] and partitions them
-    uniformly into p groups of m (groups keep their random internal
-    order); control polarities are i.i.d. fair coins, and each group is
-    paired with an independent fair apply bit.
-    """
-    positions, values, apply_bits = _prmc_raw(n, x1, x2, m, p, rng)
-    groups = [_group_terms(positions, values, m, i) for i in range(p)]
-    return groups, apply_bits
 
 
 def _sorted_controls(terms: list[ControlTerm]) -> tuple[ControlTerm, ...]:
@@ -180,7 +130,7 @@ class GateOptProgram:
 def gate_opt_program(gp: GenParams) -> GateOptProgram:
     """Draw the two-stage serial bit thermalizer as packed round arrays.
 
-    Stage 1 runs ``rounds`` shared-condition rounds (``rmc``) with m
+    Stage 1 runs ``rounds`` shared-condition rounds (``_rmc_draw``) with m
     controls drawn from [1, k] and a target mask over [k+1, n]; stage 2
     mirrors it with controls in [k+1, n] and targets in [1, k].  This is
     the only consumer of the gate-opt stream: ``gate_opt_thermalizer`` and
@@ -199,7 +149,7 @@ def gate_opt_program(gp: GenParams) -> GateOptProgram:
     for stage, (x1, window, t_lo, t_hi) in enumerate(((1, k, k, n), (k + 1, n - k, 0, k))):
         draws = [_rmc_draw(n, window, m, rng) for _ in range(rounds)]
         rows = slice(stage * rounds, (stage + 1) * rounds)
-        # as in rmc, the j-th smallest position takes the j-th polarity coin
+        # the j-th smallest position takes the j-th polarity coin
         sites = np.sort(np.array([picks for picks, _ in draws]), axis=1) + (x1 - 1)
         coins = np.array([c for _, c in draws])
         np.put_along_axis(condition[rows], sites, 1, axis=1)
@@ -292,103 +242,113 @@ def depth_opt_stage_count(n: int, k: int, m: int) -> int:
 def _depth_opt_rounds(gp: GenParams):
     """Draw the staged thermalizer round by round.
 
-    Yields ``(stage, r, positions, values, apply_bits)`` per round, where
-    ``stage`` is its ``_depth_opt_stages`` row and r counts rounds within
-    the stage.  This is the only consumer of the depth-opt stream.  It is
-    lazy because sweeps reach sizes where storing every round's positions
-    would take gigabytes.
+    Yields ``(stage, positions, values, apply_bits)`` per round, where
+    ``stage`` is its ``_depth_opt_stages`` row, ``positions`` and
+    ``values`` hold the round's m*p group members in draw order (group x
+    is entries x*m .. x*m + m - 1), and ``apply_bits`` holds one bit per
+    target slot: the groups past the stage's slots are drawn but never
+    fire.  This is the only consumer of the depth-opt stream.  It is
+    lazy because sweeps reach sizes where storing every round's
+    positions would take gigabytes.
     """
     n, k, m = gp.n, gp.k, gp.m
     stages = _depth_opt_stages(n, k, m)
+    if n - k < 2:
+        raise ValueError("depth-opt closing window [k+1, n] needs at least 2 sites")
     rng = stream(gp.seed, "gen", "depth-opt")
     for stage in stages:
-        x1, x2, p, _, _ = stage
-        for r in range(gp.rounds):
-            yield (stage, r, *_prmc_raw(n, x1, x2, m, p, rng))
+        x1, x2, p, slots, _ = stage
+        for _ in range(gp.rounds):
+            offsets, coins = _prmc_draw(x2 - x1 + 1, m, p, rng)
+            yield stage, x1 + offsets, coins[: m * p], coins[m * p : m * p + slots]
 
 
 @dataclass(frozen=True)
 class DepthOptProgram:
-    """Array form of one staged thermalizer: a row per fired slot.
+    """Array form of one staged thermalizer: its fired slots.
 
-    Rows run stage by stage, round by round and slot by slot, the order
-    of ``depth_opt_thermalizer``'s gates.  Row i flips the site set in
-    ``flips[i]`` on the copies that match ``patterns[i]`` on the sites set
-    in ``masks[i]``, packed like copies.  ``stage_rows[j]`` counts the
-    rows of ``_depth_opt_stages`` row j, the closing stage last.
+    Slots run stage by stage, round by round and slot by slot, the order
+    of ``depth_opt_thermalizer``'s gates.  Slot i flips site
+    ``targets[i]`` on the copies that hold ``values[i]`` on the sites
+    ``sites[i]`` (its group's m sites, 1-based, in draw order).
+    ``fired[j, r]`` counts the fired slots of round r of
+    ``_depth_opt_stages`` row j, the closing stage last.
     """
 
-    masks: np.ndarray
-    patterns: np.ndarray
-    flips: np.ndarray
-    stage_rows: np.ndarray
+    n: int
+    sites: np.ndarray
+    values: np.ndarray
+    targets: np.ndarray
+    fired: np.ndarray
 
     def stages(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(masks, patterns, flips) of each stage, in order."""
-        bounds = np.cumsum(self.stage_rows)[:-1]
-        return list(zip(*(np.split(a, bounds) for a in (self.masks, self.patterns, self.flips))))
+        """(masks, patterns, flips) of each stage's fired slots, in order,
+        packed like copies."""
+        W = words_needed(self.n)
+        masks, patterns = pack_sites(np.array((self.sites, self.sites * self.values)), W)
+        flips = pack_sites(self.targets[:, None], W)
+        bounds = np.cumsum(self.fired.sum(axis=1))[:-1]
+        return list(zip(*(np.split(a, bounds) for a in (masks, patterns, flips))))
 
 
 def depth_opt_program(gp: GenParams) -> DepthOptProgram:
-    """Draw the staged thermalizer as packed rows of its fired slots.
+    """Draw the staged thermalizer as arrays of its fired slots.
 
     Each stage's rounds from ``_depth_opt_rounds`` are stacked and its
     fired slots selected in one step: slot x of a round conditions on
     the round's x-th group and targets site target_base + x + 1.
+    ``depth_opt_thermalizer`` is a view of the result.
     """
-    W = words_needed(gp.n)
-    packed = []
-    stage_rows = []
+    sites, values, targets, fired = [], [], [], []
     for (_, _, p, slots, target_base), draws in groupby(_depth_opt_rounds(gp), key=lambda d: d[0]):
-        _, _, positions, values, apply_bits = zip(*draws)
+        _, positions, coins, apply_bits = zip(*draws)
         shape = (len(positions), p, gp.m)
-        fired = np.array(apply_bits)[:, :slots] == 1
-        sites = np.array(positions).reshape(shape)[:, :slots][fired]
-        ones = sites * np.array(values).reshape(shape)[:, :slots][fired]
-        targets = target_base + 1 + np.nonzero(fired)[1]
-        packed.append((pack_sites(np.array((sites, ones)), W), pack_sites(targets[:, None], W)))
-        stage_rows.append(len(targets))
-    conditions = np.concatenate([c for c, _ in packed], axis=1)
+        on = np.array(apply_bits) == 1
+        sites.append(np.array(positions).reshape(shape)[:, :slots][on])
+        values.append(np.array(coins).reshape(shape)[:, :slots][on])
+        targets.append(target_base + 1 + np.nonzero(on)[1])
+        fired.append(on.sum(axis=1))
     return DepthOptProgram(
-        masks=conditions[0],
-        patterns=conditions[1],
-        flips=np.concatenate([f for _, f in packed]),
-        stage_rows=np.array(stage_rows, dtype=np.int64),
+        n=gp.n,
+        sites=np.concatenate(sites),
+        values=np.concatenate(values),
+        targets=np.concatenate(targets),
+        fired=np.array(fired, dtype=np.int64),
     )
 
 
 def depth_opt_thermalizer(gp: GenParams) -> Circuit:
-    """Staged parallel bit thermalizer.
+    """Staged parallel bit thermalizer as a ``Circuit`` (export view of
+    ``depth_opt_program``).
 
     Growth stages: starting from s = k, each stage partitions [1, s] into
     p = floor(s/m) disjoint m-site conditions per round and targets sites
     s+1 .. s+p in parallel (targets past n are truncated in the final
     stage); after ``rounds`` such layers, s grows to s+p.  A closing
     phase then repeats the construction with controls drawn from
-    [k+1, n] and targets sweeping [1, k].
+    [k+1, n] and targets sweeping [1, k].  Each fired slot is one m-MCX
+    on its group's sites.
 
     Every round is exactly one layer (kept even when no apply bit fires),
     so the unit-cost depth is (growth stages + 1) * rounds for all seeds.
     """
-    m = gp.m
+    prog = depth_opt_program(gp)
+    order = np.argsort(prog.sites, axis=1)
+    sites = np.take_along_axis(prog.sites, order, axis=1).tolist()
+    values = np.take_along_axis(prog.values, order, axis=1).tolist()
+    gates = [
+        Gate(MCX, tuple(map(ControlTerm, s, v)), target)
+        for s, v, target in zip(sites, values, prog.targets.tolist())
+    ]
     layers: list[Layer] = []
-    stages_meta: list[dict] = []
-    for (x1, x2, p, slots, target_base), r, positions, values, apply_bits in _depth_opt_rounds(gp):
-        if r == 0:
-            stages_meta.append(
-                {
-                    "s": x2 if x1 == 1 else "closing",
-                    "p": p,
-                    "targets": slots,
-                    "first_layer": len(layers),
-                }
-            )
-        gates = [
-            Gate(MCX, _sorted_controls(_group_terms(positions, values, m, x)), target_base + x + 1)
-            for x in range(slots)
-            if apply_bits[x]
-        ]
-        layers.append(Layer(gates, check=False) if gates else _EMPTY_LAYER)
+    end = 0
+    for count in prog.fired.ravel().tolist():
+        layers.append(Layer(gates[end : end + count], check=False) if count else _EMPTY_LAYER)
+        end += count
+    stages_meta = [
+        {"s": x2 if x1 == 1 else "closing", "p": p, "targets": slots, "first_layer": j * gp.rounds}
+        for j, (x1, x2, p, slots, _) in enumerate(_depth_opt_stages(gp.n, gp.k, gp.m))
+    ]
     extra = {"stages": stages_meta, "growth_stages": len(stages_meta) - 1}
     return Circuit(
         n=gp.n,
@@ -449,7 +409,7 @@ def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) ->
     offsets = np.empty((n_layers, mp), dtype=np.int64)
     coins = np.empty((n_layers, mp + p), dtype=np.uint8)
     for li in range(n_layers):
-        # a ``prmc`` round on the window [1, m*p]
+        # a parallel round on the window [1, m*p]
         offsets[li], coins[li] = _prmc_draw(mp, m, p, rng)
     shape = (n_layers, p, m)
     return SignProgram(n, (offsets + 1).reshape(shape), coins[:, :mp].reshape(shape), coins[:, mp:] == 1)
@@ -512,14 +472,14 @@ def gate_opt_cost_profile(gp: GenParams) -> CostMeasurement:
 
 
 def depth_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``depth_opt_thermalizer(gp)``, walking the same rounds
-    without building gates."""
+    """Costs of ``depth_opt_thermalizer(gp)`` from a lazy walk of its
+    rounds: at sweep sizes the program would hold millions of slots."""
     cost = ccx_ladder_count(gp.m)
     gates = 0
     decomposed = 0
     rounds = 0
-    for (_, _, _, slots, _), _, _, _, apply_bits in _depth_opt_rounds(gp):
-        fired = int(np.count_nonzero(apply_bits[:slots]))
+    for _, _, _, apply_bits in _depth_opt_rounds(gp):
+        fired = int(np.count_nonzero(apply_bits))
         gates += fired
         decomposed += cost if fired else 1
         rounds += 1

@@ -230,19 +230,14 @@ def sign_vector_test(
     """
     if t > 16:
         raise ValueError("sign vector test capped at t <= 16")
-    counts = np.zeros(1 << t, dtype=np.int64)
-    n_trials = 0
-    for sv in sign_vectors:
-        v = np.asarray(sv)
-        if v.shape[0] < t:
-            raise ValueError(f"sign vector shorter than t={t}")
-        idx = 0
-        for i in range(t):
-            if v[i] < 0:
-                idx |= 1 << i
-        counts[idx] += 1
-        n_trials += 1
+    firsts = [np.asarray(sv)[:t] for sv in sign_vectors]
+    if any(len(v) < t for v in firsts):
+        raise ValueError(f"sign vector shorter than t={t}")
+    n_trials = len(firsts)
     check_sign_trials(n_trials)
+    # a negative sign at entry i sets bit i of the vector's bin
+    bins = (np.reshape(firsts, (n_trials, t)) < 0) @ (1 << np.arange(t, dtype=np.int64))
+    counts = np.bincount(bins, minlength=1 << t)
     chi2, p_value = _uniform_chi2_p(counts, n_trials, seed)
     return TestReport(
         name="sign_vector",

@@ -85,7 +85,8 @@ def apply_circuit(s: SubsetState, c: Circuit) -> SubsetState:
     if c.n != s.n:
         raise ValueError(f"circuit acts on {c.n} sites, state has {s.n}")
     out = s.clone()
-    copysim.evolve_arrays(out.images, out.signs, c.layers)
+    prog = copysim.compile_circuit(c.layers, out.images.shape[1])
+    copysim.run_steps(prog, out.images[None], out.signs[None])
     return out
 
 
@@ -290,8 +291,8 @@ def mixed_bound(p_fail: float, td_sigma: float) -> float:
     """Convexity bound on the distance of a mixture that fails with
     probability p_fail: p_fail * 1 + (1 - p_fail) * td_sigma.
 
-    The cruder p_fail + td_sigma is reported alongside this in the
-    experiment artifacts.
+    It is never above the cruder p_fail + td_sigma.  Neither bound
+    appears in any command's report.
     """
     if not 0.0 <= p_fail <= 1.0 or not 0.0 <= td_sigma <= 1.0:
         raise ValueError("arguments must lie in [0, 1]")

@@ -8,9 +8,47 @@ from itertools import permutations
 import numpy as np
 
 from subsetphase import subsetstate
-from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.circuit import ControlTerm
+from subsetphase.generators import GenParams, _prmc_draw, _rmc_draw, gate_opt_thermalizer, sign_thermalizer
 from subsetphase.rng import derive_seed
 from subsetphase.subsetstate import to_statevector
+
+
+def rmc(
+    n: int, x1: int, x2: int, m: int, rng: np.random.Generator
+) -> tuple[list[ControlTerm], np.ndarray]:
+    """Replay oracle of one shared-condition round on the window [x1, x2].
+
+    Draws m distinct control positions uniformly from the window, each
+    with an independent fair-coin required value, plus a uniform mask
+    over the n - (x2 - x1 + 1) candidate target sites.  Controls come
+    back in ascending position, the j-th smallest taking the j-th coin.
+    """
+    if not (1 <= x1 < x2 <= n):
+        raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
+    window = x2 - x1 + 1
+    if not 1 <= m <= window:
+        raise ValueError(f"m={m} exceeds window size {window}")
+    picks, coins = _rmc_draw(n, window, m, rng)
+    controls = [ControlTerm(x1 + int(p), int(v)) for p, v in zip(np.sort(picks), coins[:m])]
+    return controls, coins[m:]
+
+
+def prmc(
+    n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator
+) -> tuple[list[list[ControlTerm]], np.ndarray]:
+    """Replay oracle of one parallel round: p disjoint m-site conditions
+    on the window [x1, x2] (each in draw order) plus p apply bits."""
+    if not (1 <= x1 < x2 <= n):
+        raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
+    if m < 1 or p < 1:
+        raise ValueError("m and p must be positive")
+    window = x2 - x1 + 1
+    if m * p > window:
+        raise ValueError(f"m*p={m * p} exceeds window size {window}")
+    offsets, coins = _prmc_draw(window, m, p, rng)
+    terms = [ControlTerm(x1 + int(o), int(v)) for o, v in zip(offsets, coins[: m * p])]
+    return [terms[i * m : (i + 1) * m] for i in range(p)], coins[m * p :]
 
 
 def span_rank(rows: list[int]) -> int:

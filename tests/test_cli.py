@@ -131,6 +131,17 @@ class TestSim:
         assert "Traceback" not in res.stderr
         assert f"layer {layer} gate 0: missing key 'controls'" in res.stderr
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_1_without_report(self, tmp_path, trials):
+        circ = tmp_path / "c.json"
+        rep = tmp_path / "r.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        res = run_cli("sim", "--circuit", str(circ), "--trials", trials, "--report", str(rep))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "--trials" in res.stderr
+        assert not rep.exists()
+
     def test_unreadable_circuit_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

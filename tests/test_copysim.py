@@ -7,7 +7,6 @@ from subsetphase.copysim import (
     apply_circuit,
     apply_circuit_recording,
     apply_gate,
-    condition_matrix,
     compile_circuit,
     pack_bits,
     round_probes,
@@ -219,6 +218,14 @@ class TestApplyCircuit:
         e = sample_initial_copies(8, 4, 2, stream(0, "dim"))
         with pytest.raises(ValueError):
             apply_circuit(e, Circuit(n=9, layers=()))
+
+
+def condition_matrix(e: CopyEnsemble, conditions) -> BitMatrix:
+    """Condition matrix of a fixed ensemble: layer-0 probes recorded
+    through an empty circuit, which leaves the copies as they are."""
+    final, x = apply_circuit_recording(e, Circuit(n=e.n, layers=()), [(0, terms) for terms in conditions])
+    assert final == e
+    return x
 
 
 class TestConditionMatrix:

@@ -28,12 +28,13 @@ from subsetphase.generators import (
     gate_opt_cost_profile,
     gate_opt_program,
     gate_opt_thermalizer,
-    prmc,
-    rmc,
     sign_cost_profile,
     sign_thermalizer,
 )
+from subsetphase.analysis import predicted_cost
 from subsetphase.rng import stream
+
+from conftest import prmc, rmc
 
 
 class TestCeilRounds:
@@ -312,35 +313,82 @@ class TestDepthOpt:
             depth_opt_thermalizer(GenParams(n=8, k=8, t=1, alpha=1.0, m=2, seed=0))
 
 
+def prmc_depth_opt_reference(gp: GenParams) -> Circuit:
+    """Round-by-round ``prmc`` construction of the depth-opt circuit: the
+    reference for the program and its export view."""
+    n, k, m = gp.n, gp.k, gp.m
+    # growth stages from s = k, each targeting the next p sites, then the closer
+    stages = []
+    s = k
+    while s < n:
+        stages.append((1, s, s // m, min(s // m, n - s), s))
+        s += s // m
+    stages.append((k + 1, n, (n - k) // m, min((n - k) // m, k), 0))
+    rng = stream(gp.seed, "gen", "depth-opt")
+    layers, meta = [], []
+    for x1, x2, p, slots, target_base in stages:
+        meta.append({"s": x2 if x1 == 1 else "closing", "p": p, "targets": slots,
+                     "first_layer": len(layers)})
+        for _ in range(gp.rounds):
+            groups, apply_bits = prmc(n, x1, x2, m, p, rng)
+            layers.append(Layer([
+                Gate(MCX, tuple(sorted(groups[x], key=lambda c: c.position)), target_base + x + 1)
+                for x in range(slots)
+                if apply_bits[x]
+            ]))
+    extra = {"stages": meta, "growth_stages": len(stages) - 1}
+    return Circuit(n=n, layers=tuple(layers), generator="depth-opt", params=gp.as_dict(),
+                   seed=gp.seed, extra=extra)
+
+
 class TestDepthOptProgram:
-    @pytest.mark.parametrize(
-        "n,k,t,alpha,m",
-        [(64, 24, 8, 6.0, 2), (100, 30, 4, 2.0, 3), (128, 24, 4, 2.0, 2), (20, 8, 2, 1.0, 3)],
-    )
+    # the last shape has a two-site closing window
+    SHAPES = [(64, 24, 8, 6.0, 2), (100, 30, 4, 2.0, 3), (128, 24, 4, 2.0, 2), (20, 8, 2, 1.0, 3),
+              (10, 8, 1, 2.0, 1)]
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", SHAPES)
+    def test_export_view_equals_prmc_reference(self, n, k, t, alpha, m):
+        for seed in range(3):
+            gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
+            got, want = depth_opt_thermalizer(gp), prmc_depth_opt_reference(gp)
+            assert got.layers == want.layers
+            assert got.extra == want.extra
+            assert dumps_canonical(circuit_to_obj(got)) == dumps_canonical(circuit_to_obj(want))
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", SHAPES)
     def test_rows_equal_compiled_circuit(self, n, k, t, alpha, m):
         for seed in range(3):
             gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
-            prog = depth_opt_program(gp)
-            want = compile_circuit(depth_opt_thermalizer(gp).layers, words_needed(n))
-            assert np.array_equal(prog.masks, want.masks)
-            assert np.array_equal(prog.patterns, want.patterns)
-            assert np.array_equal(prog.flips, want.flips)
+            rows = [np.concatenate(a) for a in zip(*depth_opt_program(gp).stages())]
+            want = compile_circuit(prmc_depth_opt_reference(gp).layers, words_needed(n))
+            assert np.array_equal(rows[0], want.masks)
+            assert np.array_equal(rows[1], want.patterns)
+            assert np.array_equal(rows[2], want.flips)
 
     def test_stage_rows_follow_the_circuit_stages(self):
         gp = GenParams(n=36, k=9, t=2, alpha=2.0, m=3, seed=3)
-        c = depth_opt_thermalizer(gp)
+        ref = prmc_depth_opt_reference(gp)
         prog = depth_opt_program(gp)
-        firsts = [meta["first_layer"] for meta in c.extra["stages"]] + [len(c.layers)]
-        want = [sum(len(c.layers[li].gates) for li in range(a, b)) for a, b in zip(firsts, firsts[1:])]
-        assert prog.stage_rows.tolist() == want
-        stages = prog.stages()
-        assert len(stages) == depth_opt_stage_count(36, 9, 3) + 1
-        for (masks, patterns, flips), rows in zip(stages, want):
+        stages = depth_opt_stage_count(36, 9, 3) + 1
+        assert prog.fired.shape == (stages, gp.rounds)
+        assert prog.fired.ravel().tolist() == [len(layer.gates) for layer in ref.layers]
+        assert prog.sites.shape == prog.values.shape == (ref.gate_count, 3)
+        assert prog.targets.shape == (ref.gate_count,)
+        for (masks, patterns, flips), rows in zip(prog.stages(), prog.fired.sum(axis=1)):
             assert masks.shape == patterns.shape == flips.shape == (rows, 1)
 
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
             depth_opt_program(GenParams(n=16, k=3, t=1, alpha=1.0, m=4, seed=0))
+
+    def test_rejects_single_site_closing_window(self):
+        # n = k+1 with m = 1 has one closing group on a one-site window
+        gp = GenParams(n=9, k=8, t=1, alpha=1.0, m=1)
+        for build in (depth_opt_program, depth_opt_thermalizer, depth_opt_cost_profile):
+            with pytest.raises(ValueError, match="closing window"):
+                build(gp)
+        # the stage table itself exists, so the prediction stays total
+        assert predicted_cost("depth-opt", 9, 8, 1, 1.0, 1).unit_depth == 2
 
 
 class TestCostProfiles:

@@ -36,3 +36,50 @@ def test_drivers_run_programs_only():
         elif isinstance(node, ast.Attribute) and _circuit_name(node.attr):
             found.append((node.attr, node.lineno))
     assert found == [], f"drivers.py reaches for circuit objects: {found}"
+
+
+GEN_TAGS = ("gate-opt", "depth-opt", "sign")
+
+
+def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
+    """Every call of ``name`` under ``src/`` with the innermost function
+    that makes it, as (call, "module.function")."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module: str):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.append((node, f"{self.scope[0]}.{self.scope[-1]}"))
+            self.generic_visit(node)
+
+    for path in SOURCES:
+        Visitor(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_each_generator_stream_is_consumed_in_one_function():
+    users: dict[object, set[str]] = {}
+    for call, where in _calls_by_function("stream"):
+        args = [a.value if isinstance(a, ast.Constant) else None for a in call.args]
+        if "gen" in args[:-1]:
+            users.setdefault(args[args.index("gen") + 1], set()).add(where)
+    assert set(users) == set(GEN_TAGS), f"generator stream tags: {sorted(map(str, users))}"
+    for tag, where in users.items():
+        assert len(where) == 1, f"stream 'gen', {tag!r} drawn in {sorted(where)}"
+
+
+def test_depth_opt_rounds_readers():
+    # the program and the lazy cost profile; the Circuit is a program view
+    readers = sorted(where for _, where in _calls_by_function("_depth_opt_rounds"))
+    assert readers == ["generators.depth_opt_cost_profile", "generators.depth_opt_program"]

@@ -149,6 +149,26 @@ class TestSignVector:
         with pytest.raises(ValueError):
             sign_vector_test(oracle_sign_vectors(4, 100, master_seed=1), 4)
 
+    def test_statistic_matches_bit_loop_reference(self):
+        # skewed signs on wide vectors: entry i of each vector's first t
+        # sets bit i of its bin
+        rng = stream(52, "skewed-signs")
+        vectors = list(np.where(rng.random((10_000, 9)) < 0.4, -1, 1).astype(np.int8))
+        t = 5
+        counts = np.zeros(1 << t)
+        for v in vectors:
+            counts[sum(1 << i for i in range(t) if v[i] < 0)] += 1
+        expected = len(vectors) / (1 << t)
+        report = sign_vector_test(iter(vectors), t)
+        assert report.statistic == pytest.approx(((counts - expected) ** 2 / expected).sum(), rel=1e-12)
+        assert not report.passed
+
+    def test_rejects_short_vector(self):
+        vectors = oracle_sign_vectors(6, 10_000, master_seed=53)
+        vectors[7] = vectors[7][:3]
+        with pytest.raises(ValueError, match="shorter than t=6"):
+            sign_vector_test(vectors, 6)
+
     def test_t_cap(self):
         with pytest.raises(ValueError):
             sign_vector_test(oracle_sign_vectors(20, 10_000, master_seed=1), 17)
