@@ -31,7 +31,7 @@ from .circuit import (
     write_json_atomic,
     write_text_atomic,
 )
-from .copysim import compile_circuit, round_probes, run_steps, sample_initial_copies, words_needed
+from .copysim import CopyEnsemble, compile_circuit, round_probes, sample_initial_copies, words_needed
 from .f2linalg import (
     BitMatrix,
     RankBoundParams,
@@ -155,19 +155,23 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
             raise click.ClickException("--diagnostics rank needs a circuit with recorded rounds")
         probes = round_probes(circuit, stage=1)
     program = compile_circuit(circuit.layers, words_needed(n), probes or ())
-    bit_totals = None
+    segments = [(program.masks, program.patterns, program.flips, program.diagonal)]
+
+    def draw(i: int):
+        initial = sample_initial_copies(n, k, t, stream(seed, "sim-copies", i))
+        return segments, initial.copies, initial.signs
+
+    bit_totals = 0
     ranks: list[int] = []
     distinct: list[bool] = []
     sign_flip_rate = 0.0
-    for i in range(trials):
-        final = sample_initial_copies(n, k, t, stream(seed, "sim-copies", i))
-        recorded = run_steps(program, final.copies[None], final.signs[None])
+    for copies, signs, recorded in drivers.run_blocks(trials, draw, program.record):
+        final = CopyEnsemble(n, copies, signs, check=False)
         if probes is not None:
-            ranks.append(rank(BitMatrix.from_dense(recorded[0])))
-        bits = final.bits()
-        bit_totals = bits.astype("int64") if bit_totals is None else bit_totals + bits
+            ranks.append(rank(BitMatrix.from_dense(recorded)))
+        bit_totals = bit_totals + final.bits().astype("int64")
         distinct.append(final.is_distinct())
-        sign_flip_rate += float((final.signs < 0).mean())
+        sign_flip_rate += float((signs < 0).mean())
     results = {
         "trials": trials,
         "n": n,
@@ -199,7 +203,7 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
 @click.option("--p", type=float, required=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes; any value reproduces the same result.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
@@ -336,6 +340,8 @@ def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict,
     if suite == "bits":
         if k is None:
             raise click.UsageError("bits suite requires --k")
+        stats.check_marginal_trials(trials)
+        stats.check_pairwise_shape(trials, t)
         battery = drivers.run_bit_battery(algorithm, n, k, t, m, alpha, trials, seed)
         reports.append(stats.marginal_bias_test(battery.ensembles, seed=seed))
         reports.append(stats.pairwise_xor_test(battery.ensembles, seed=seed))
@@ -408,6 +414,11 @@ def scaling(grid_spec, algorithm, seed, out):
     for required in ("n", "t"):
         if required not in grid:
             raise click.BadParameter(f"grid must set {required}")
+    unknown = sorted(set(grid) - {"n", "t", "k", "alpha", "m", "p"})
+    if unknown:
+        raise click.BadParameter(f"unknown grid name(s): {', '.join(unknown)}")
+    if len(grid.get("p", ["auto"])) != 1:
+        raise click.BadParameter(f"grid takes one p value, got p={','.join(grid['p'])}")
     rows = []
     for n_s in grid["n"]:
         n = int(n_s)

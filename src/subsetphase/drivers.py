@@ -2,13 +2,15 @@
 
 Every driver derives one independent stream per (master seed, purpose,
 trial index), so trials are order-independent and each artifact can name
-the exact stream that produced it.
+the exact stream that produced it, however trials are grouped.  Every
+trial loop that simulates, ``sim``'s too, runs through ``run_blocks``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .copysim import (
     run_steps,
     sample_initial_copies,
     step_program,
-    words_needed,
 )
 from .f2linalg import (
     BitMatrix,
@@ -62,17 +63,10 @@ class BitBatteryResult:
         return all(self.distinct)
 
 
-# Trials simulated together by the bit batteries and by the sign
-# trials.  Results do not depend on them: every trial keeps its own named
-# streams.  A bit-battery block also closes once its rows hold
-# _BLOCK_CELLS uint64 words.  Sign row sets are padded to the longest of
-# their block, so their smaller block keeps the padding's memory small.
-# A block of moment samples holds about _MOMENT_BLOCK_ROWS subset-table
-# rows.
-_TRIAL_BLOCK = 256
-_BLOCK_CELLS = 1 << 21
-_SIGN_BLOCK = 64
-_MOMENT_BLOCK_ROWS = 4096
+# uint64 words at which a block of trials closes, counting its padded
+# rows (mask, pattern and flips) and its copies.  Results do not depend
+# on it: every trial keeps its own streams, and batching is exact.
+_BLOCK_CELLS = 1 << 14
 
 
 def pack_block(row_sets: Sequence[Sequence[tuple[np.ndarray, ...]]]) -> tuple[np.ndarray, ...]:
@@ -100,6 +94,39 @@ def pack_block(row_sets: Sequence[Sequence[tuple[np.ndarray, ...]]]) -> tuple[np
     return out
 
 
+def run_blocks(
+    trials: int,
+    draw: Callable[[int], tuple[Sequence[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]],
+    record: Sequence[int] = (),
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run trials 0 .. trials-1 through the step kernel, a block at a time.
+
+    ``draw(i)``, called in trial order, gives trial i's row segments, each
+    (masks, patterns, flips, diagonal), and its initial (t, W) copies and
+    (t,) signs; all trials give as many segments and the same (t, W).  A
+    block, packed by ``pack_block``, runs in one ``copysim.run_steps``
+    call and closes once its padded rows plus its copies hold
+    ``_BLOCK_CELLS`` words.  Yields each trial's final copies, signs and
+    (t, len(record)) satisfaction of the ``record`` rows, in trial order.
+    """
+    end = 0
+    while end < trials:
+        row_sets, copies, signs = [], [], []
+        cells = 0
+        widths = 0
+        while end < trials and cells < _BLOCK_CELLS:
+            rows, c, s = draw(end)
+            row_sets.append(rows)
+            copies.append(c)
+            signs.append(s)
+            widths = np.maximum(widths, [len(seg[0]) for seg in rows])
+            cells = len(row_sets) * (3 * int(widths.sum()) + len(c)) * c.shape[1]
+            end += 1
+        block_copies, block_signs = np.stack(copies), np.stack(signs)
+        recorded = run_steps(step_program(*pack_block(row_sets), record=record), block_copies, block_signs)
+        yield from zip(block_copies, block_signs, recorded)
+
+
 def run_bit_battery(
     algorithm: str,
     n: int,
@@ -117,54 +144,35 @@ def run_bit_battery(
     diagnostics on (gate-opt only), the stage-1 condition matrix is
     recorded through the run and its rank checked against t.
 
-    Trials draw their thermalizer as packed rows (``gate_opt_program``
-    or ``depth_opt_program``) and run a block of trials per
-    ``copysim.run_steps`` call; no gate objects are built.  Depth-opt
-    rows are padded stage by stage, so each stage stays one step.
-    Every gate carries m controls, so a trial's CCX total is its gate
-    count times the ladder cost.
+    Trials run the rows of ``gate_opt_program`` or ``depth_opt_program``
+    through ``run_blocks``; no gate objects are built.  Every gate
+    carries m controls, so a trial's CCX total is its gate count times
+    the ladder cost.
     """
     if algorithm not in ("gate-opt", "depth-opt"):
         raise ValueError(f"unknown bit thermalizer {algorithm!r}")
+    program = gate_opt_program if algorithm == "gate-opt" else depth_opt_program
     result = BitBatteryResult(ensembles=[])
     per_gate_ccx = ccx_ladder_count(m)
     base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
     # stage-1 gate-opt rounds read only [1, k], which no stage-1 round
     # writes: their satisfaction is the condition matrix
     record = range(base.rounds) if algorithm == "gate-opt" and diagnostics else ()
-    W = words_needed(n)
-    end = 0
-    while end < trials:
-        # a block closes at _TRIAL_BLOCK trials or _BLOCK_CELLS row words,
-        # whichever comes first: wide depth-opt trials carry many rows
-        lo = end
-        row_sets = []
-        gates = []
-        cells = 0
-        while end < trials and end - lo < _TRIAL_BLOCK and cells < _BLOCK_CELLS:
-            gp = replace(base, seed=derive_seed(master_seed, "bit-circuit", end))
-            if algorithm == "gate-opt":
-                prog = gate_opt_program(gp)
-                row_sets.append([(prog.masks, prog.patterns, prog.flips)])
-            else:
-                prog = depth_opt_program(gp)
-                row_sets.append(prog.stages())
-            gates.append(int(prog.fired.sum()))
-            cells += sum(len(masks) for masks, _, _ in row_sets[-1]) * W
-            end += 1
-        block = range(lo, end)
-        initial = [sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i)) for i in block]
-        copies = np.stack([e.copies for e in initial])
-        recorded = run_steps(step_program(*pack_block(row_sets), record=record), copies)
-        for b, e in enumerate(initial):
-            final = CopyEnsemble(n, copies[b], e.signs, check=False)
-            if record:
-                x_rank = rank(BitMatrix.from_dense(recorded[b]))
-                result.x_ranks.append(x_rank)
-                result.x_full_rank.append(x_rank == t)
-            result.ensembles.append(final)
-            result.distinct.append(final.is_distinct())
-            result.ccx_counts.append(gates[b] * per_gate_ccx)
+
+    def draw(i: int):
+        prog = program(replace(base, seed=derive_seed(master_seed, "bit-circuit", i)))
+        result.ccx_counts.append(int(prog.fired.sum()) * per_gate_ccx)
+        initial = sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i))
+        return prog.rows(), initial.copies, initial.signs
+
+    for copies, signs, recorded in run_blocks(trials, draw, record):
+        final = CopyEnsemble(n, copies, signs, check=False)
+        if record:
+            x_rank = rank(BitMatrix.from_dense(recorded))
+            result.x_ranks.append(x_rank)
+            result.x_full_rank.append(x_rank == t)
+        result.ensembles.append(final)
+        result.distinct.append(final.is_distinct())
     return result
 
 
@@ -181,29 +189,19 @@ def run_sign_trials(
     """Sign-thermalizer sweeps: fresh circuit and fresh t distinct uniform
     copies of the full n-bit space per trial; collects final sign vectors.
 
-    Each trial's fired slots are diagonal rows of its own row set, padded
-    with inert rows to the longest set of its block; a block of trials
-    runs through one ``copysim.run_steps`` call, as one step, since sign
-    gates write no site.  No gate objects are built.
+    Each trial's fired slots run through ``run_blocks`` as diagonal
+    rows, one step, since sign gates write no site.
     """
-    vectors: list[np.ndarray] = []
     gate_counts: list[int] = []
-    layer_count = ceil_rounds(alpha * t / p)
-    for lo in range(0, trials, _SIGN_BLOCK):
-        block = range(lo, min(lo + _SIGN_BLOCK, trials))
-        row_sets = []
-        initial = []
-        for i in block:
-            prog = sign_program(n, p, alpha, t, m, seed=derive_seed(master_seed, "sign-circuit", i))
-            row_sets.append([prog.rows()])
-            gate_counts.append(int(prog.fired.sum()))
-            initial.append(sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i)))
-        masks, patterns, flips, diagonal = pack_block(row_sets)
-        copies = np.stack([e.copies for e in initial])
-        signs = np.stack([e.signs for e in initial])
-        run_steps(step_program(masks, patterns, flips, diagonal), copies, signs)
-        vectors.extend(signs)
-    return SignTrialResult(vectors, layer_count, gate_counts)
+
+    def draw(i: int):
+        prog = sign_program(n, p, alpha, t, m, seed=derive_seed(master_seed, "sign-circuit", i))
+        gate_counts.append(int(prog.fired.sum()))
+        initial = sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i))
+        return prog.rows(), initial.copies, initial.signs
+
+    vectors = [signs for _, signs, _ in run_blocks(trials, draw)]
+    return SignTrialResult(vectors, ceil_rounds(alpha * t / p), gate_counts)
 
 
 def oracle_bit_ensembles(n: int, t: int, trials: int, master_seed: int) -> list[CopyEnsemble]:
@@ -254,31 +252,21 @@ def moment_states(
     Sample i evolves the initial subset table through the serial bit
     thermalizer of stream ("moment-bit", i), then the sign thermalizer of
     stream ("moment-sign", i).  A table is a batch of 2^k single copies,
-    so a block of samples runs as one (B, 2^k, W) ``copysim.run_steps``
-    call on each sample's gate-opt rows followed by its diagonal sign
-    rows.
+    so ``run_blocks`` runs each sample's gate-opt rows followed by its
+    diagonal sign rows on a (2^k, W) table.
     """
     initial = subsetstate.initial_subset_state(n, k)
     bit_params = GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit)
-    block_size = max(1, _MOMENT_BLOCK_ROWS >> k)
-    for lo in range(0, samples, block_size):
-        block = range(lo, min(lo + block_size, samples))
-        row_sets = []
-        for i in block:
-            bit_prog = gate_opt_program(replace(bit_params, seed=derive_seed(master_seed, "moment-bit", i)))
-            sign_prog = sign_program(
-                n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
-            )
-            off_diagonal = np.zeros(len(bit_prog.masks), dtype=bool)
-            row_sets.append([
-                (bit_prog.masks, bit_prog.patterns, bit_prog.flips, off_diagonal),
-                sign_prog.rows(),
-            ])
-        images = np.repeat(initial.images[None], len(block), axis=0)
-        signs = np.repeat(initial.signs[None], len(block), axis=0)
-        run_steps(step_program(*pack_block(row_sets)), images, signs)
-        for b in range(len(block)):
-            yield subsetstate.SubsetState(n, k, images[b], signs[b])
+
+    def draw(i: int):
+        bit_prog = gate_opt_program(replace(bit_params, seed=derive_seed(master_seed, "moment-bit", i)))
+        sign_prog = sign_program(
+            n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
+        )
+        return bit_prog.rows() + sign_prog.rows(), initial.images, initial.signs
+
+    for images, signs, _ in run_blocks(samples, draw):
+        yield subsetstate.SubsetState(n, k, images, signs)
 
 
 @dataclass
@@ -386,6 +374,7 @@ def monte_carlo_full_rank_streamed(
         chunk = max(64, -(-trials // workers))
         spans = [(rows, cols, p, master_seed, lo, min(lo + chunk, trials))
                  for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: no more than spans or cores
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans), os.cpu_count() or 1)) as pool:
             hits = sum(pool.map(_mc_rank_chunk, spans))
     return MonteCarloEstimate(hits / trials, wilson_interval(hits, trials), hits, trials)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,15 +82,11 @@ class BitMatrix:
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank via elimination on packed rows; ``m`` is not modified."""
-    return _rank_of_row_ints(m.row_ints)
-
-
-def _rank_of_row_ints(row_ints: Iterable[int]) -> int:
     # Pivot on the highest set bit of each incoming row; `pivots` maps a
     # bit position to the stored row owning that pivot.
     pivots: dict[int, int] = {}
     r = 0
-    for v in row_ints:
+    for v in m.row_ints:
         while v:
             b = v.bit_length() - 1
             piv = pivots.get(b)
@@ -108,20 +104,7 @@ def is_full_row_rank(m: BitMatrix) -> bool:
     More rows than columns cannot be full row rank; that case returns
     False rather than raising, so sweeps over odd shapes stay total.
     """
-    if m.rows > m.cols:
-        return False
-    pivots: dict[int, int] = {}
-    for v in m.row_ints:
-        while True:
-            if not v:
-                return False
-            b = v.bit_length() - 1
-            piv = pivots.get(b)
-            if piv is None:
-                pivots[b] = v
-                break
-            v ^= piv
-    return True
+    return m.rows <= m.cols and rank(m) == m.rows
 
 
 def sample_bernoulli_matrix(rows: int, cols: int, p: float, rng: np.random.Generator) -> BitMatrix:

@@ -126,6 +126,10 @@ class GateOptProgram:
     flips: np.ndarray
     fired: np.ndarray
 
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The rounds as one (masks, patterns, flips, diagonal) segment."""
+        return [(self.masks, self.patterns, self.flips, np.zeros(len(self.masks), dtype=bool))]
+
 
 def gate_opt_program(gp: GenParams) -> GateOptProgram:
     """Draw the two-stage serial bit thermalizer as packed round arrays.
@@ -281,14 +285,15 @@ class DepthOptProgram:
     targets: np.ndarray
     fired: np.ndarray
 
-    def stages(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(masks, patterns, flips) of each stage's fired slots, in order,
-        packed like copies."""
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """One (masks, patterns, flips, diagonal) segment per stage: its
+        fired slots in order, packed like copies, none of them diagonal."""
         W = words_needed(self.n)
         masks, patterns = pack_sites(np.array((self.sites, self.sites * self.values)), W)
         flips = pack_sites(self.targets[:, None], W)
+        diagonal = np.zeros(len(masks), dtype=bool)
         bounds = np.cumsum(self.fired.sum(axis=1))[:-1]
-        return list(zip(*(np.split(a, bounds) for a in (masks, patterns, flips))))
+        return list(zip(*(np.split(a, bounds) for a in (masks, patterns, flips, diagonal))))
 
 
 def depth_opt_program(gp: GenParams) -> DepthOptProgram:
@@ -375,13 +380,13 @@ class SignProgram:
     values: np.ndarray
     fired: np.ndarray
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(masks, patterns, flips, diagonal) of the fired slots, layer by
-        layer: the full condition of each signed MCZ, packed like copies,
-        as a diagonal row that flips nothing."""
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """One (masks, patterns, flips, diagonal) segment: the fired slots,
+        layer by layer, each the full condition of its signed MCZ, packed
+        like copies, as a diagonal row that flips nothing."""
         sites = self.sites[self.fired]
         masks, patterns = pack_sites(np.array((sites, sites * self.values[self.fired])), words_needed(self.n))
-        return masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool)
+        return [(masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool))]
 
 
 def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:

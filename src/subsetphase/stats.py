@@ -97,6 +97,12 @@ def _bit_counts(ensembles: Sequence[CopyEnsemble]) -> tuple[np.ndarray, int, int
     return counts, t, n
 
 
+def check_marginal_trials(n_trials: int) -> None:
+    """Raise unless ``marginal_bias_test`` has enough trials to decide."""
+    if n_trials < 1000:
+        raise ValueError("marginal bias test needs at least 1000 trials")
+
+
 def marginal_bias_test(
     ensembles: Sequence[CopyEnsemble],
     alpha: float = DEFAULT_ALPHA,
@@ -109,8 +115,7 @@ def marginal_bias_test(
     (never below 4 sigma).  Needs at least 10^3 trials.
     """
     n_trials = len(ensembles)
-    if n_trials < 1000:
-        raise ValueError("marginal bias test needs at least 1000 trials")
+    check_marginal_trials(n_trials)
     counts, t, n = _bit_counts(ensembles)
     cells = t * n
     sigma = 0.5 / sqrt(n_trials)
@@ -137,6 +142,15 @@ def marginal_bias_test(
     )
 
 
+def check_pairwise_shape(n_trials: int, t: int) -> None:
+    """Raise unless ``pairwise_xor_test`` can decide on ``n_trials``
+    ensembles of t copies."""
+    if n_trials < 1000:
+        raise ValueError("pairwise xor test needs at least 1000 trials")
+    if t < 2:
+        raise ValueError("need at least two copies for pairwise tests")
+
+
 def pairwise_xor_test(
     ensembles: Sequence[CopyEnsemble],
     alpha: float = DEFAULT_ALPHA,
@@ -152,12 +166,8 @@ def pairwise_xor_test(
     1e-3 threshold leaves ample slack for that.
     """
     n_trials = len(ensembles)
-    if n_trials < 1000:
-        raise ValueError("pairwise xor test needs at least 1000 trials")
-    first = ensembles[0]
-    t, n = first.t, first.n
-    if t < 2:
-        raise ValueError("need at least two copies for pairwise tests")
+    check_pairwise_shape(n_trials, ensembles[0].t if ensembles else 0)
+    t, n = ensembles[0].t, ensembles[0].n
     # per-site co-occurrence counts c_pq (c_pp = c_p), summed over trial
     # chunks; float32 products of 0/1 bits stay integer-exact per chunk
     co = np.zeros((n, t, t), dtype=np.int64)

@@ -26,6 +26,7 @@ from .circuit import Circuit
 
 STATEVECTOR_MAX_N = 24
 MOMENT_MAX_CELLS = 1 << 24  # one 4096 x 4096 float64 array, 128 MiB
+_SYRK_CHUNK = 512
 
 
 @dataclass
@@ -191,15 +192,15 @@ def _multiset_coordinates(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.sqrt(math.factorial(t) / repeats)
 
 
-def empirical_moment(samples: Iterable[SubsetState], t: int, chunk: int = 512) -> MomentMatrix:
+def empirical_moment(samples: Iterable[SubsetState], t: int) -> MomentMatrix:
     """Average of the t-fold self outer products of the sample states, on
     Sym^t.
 
     The N statevectors are held until N exceeds d_sym.  If it never does,
     the result is the N x N Gram (Psi Psi^T)^(o t) / N.  Otherwise their
     multiset coordinates are accumulated into the upper triangle of the
-    d_sym x d_sym moment with ``dsyrk``, in ``chunk``-sample blocks, which
-    keeps it PSD by construction up to float64 roundoff.  ``samples`` may
+    d_sym x d_sym moment with ``dsyrk``, in blocks of ``_SYRK_CHUNK``
+    samples, which keeps it PSD by construction up to float64 roundoff.  ``samples`` may
     be any iterable (it is consumed once); MOMENT_MAX_CELLS bounds what
     it holds as it goes.
     """
@@ -235,9 +236,9 @@ def empirical_moment(samples: Iterable[SubsetState], t: int, chunk: int = 512) -
             if acc is None:
                 idx, weights = _multiset_coordinates(1 << n, t)
                 acc = np.zeros((d_sym, d_sym), order="F")
-            while len(held) >= chunk:
-                flush(held[:chunk])
-                del held[:chunk]
+            while len(held) >= _SYRK_CHUNK:
+                flush(held[:_SYRK_CHUNK])
+                del held[:_SYRK_CHUNK]
     if count == 0:
         raise ValueError("need at least one sample")
     if acc is None:

@@ -179,6 +179,16 @@ class TestRankMc:
         run_cli(*base, "--threads", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_exit_1(self, tmp_path, threads):
+        out = tmp_path / "mc.json"
+        res = run_cli("rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
+                      "--threads", threads, "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "--threads" in res.stderr
+        assert not out.exists()
+
 
 class TestBounds:
     def test_csv_columns(self, tmp_path):
@@ -282,6 +292,26 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert not rep.exists()
 
+    @pytest.mark.parametrize(
+        "trials,t,message",
+        [
+            ("50", "4", "marginal bias test needs at least 1000 trials"),
+            ("1000", "1", "need at least two copies for pairwise tests"),
+        ],
+    )
+    def test_bits_suite_checks_its_inputs_before_running(self, tmp_path, trials, t, message):
+        # m = 3 > n - k = 2 fails as soon as a gate-opt trial draws its
+        # circuit, so getting the floor message shows the check runs first
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", "bits", "--n", "16", "--k", "14", "--t", t, "--alpha", "4.0",
+            "--m", "3", "--trials", trials, "--seed", "6", "--report", str(rep),
+        )
+        assert res.returncode == 1
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not rep.exists()
+
 
 class TestScaling:
     def test_csv_schema_and_exactness(self, tmp_path):
@@ -305,6 +335,24 @@ class TestScaling:
     def test_grid_requires_n_and_t(self, tmp_path):
         res = run_cli("scaling", "--grid", "n=64", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "grid,named",
+        [
+            ("n=64;t=4;p=4,8;alpah=3", ["alpah"]),
+            ("n=64;t=4;m=2;p=4,8", ["p=4,8"]),
+            ("n=64;t=4;m=2;p=", ["p="]),
+            ("n=64;t=4;K=16;steps=2", ["K", "steps"]),
+        ],
+    )
+    def test_grid_rejects_unknown_names_and_several_p(self, tmp_path, grid, named):
+        out = tmp_path / "x.csv"
+        res = run_cli("scaling", "--grid", grid, "--algorithm", "sign", "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        for name in named:
+            assert name in res.stderr
+        assert not out.exists()
 
 
 class TestMoments:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import reference_moment_states
 
-from subsetphase import drivers, subsetstate
+from subsetphase import cli, drivers, subsetstate
 from subsetphase.circuit import ccx_equivalent_count, ccx_ladder_count
 from subsetphase.copysim import (
     apply_circuit,
@@ -43,6 +44,20 @@ def reference_battery(algorithm, n, k, t, m, alpha, trials, master_seed, diagnos
     return result
 
 
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Trials in each kernel call that ``drivers.run_blocks`` makes."""
+    sizes = []
+    run_steps = drivers.run_steps
+
+    def counted(prog, copies, signs=None):
+        sizes.append(len(copies))
+        return run_steps(prog, copies, signs)
+
+    monkeypatch.setattr(drivers, "run_steps", counted)
+    return sizes
+
+
 def assert_same_battery(got, want):
     assert got.ensembles == want.ensembles
     assert got.x_ranks == want.x_ranks
@@ -53,18 +68,26 @@ def assert_same_battery(got, want):
 
 class TestGateOptBatteryMatchesCircuitPath:
     @pytest.mark.parametrize(
-        "n,k,t,m,alpha,trials,seed",
+        "n,k,t,m,alpha,trials,seed,cells",
         [
-            (16, 6, 4, 2, 4.0, drivers._TRIAL_BLOCK + 44, 21),  # two blocks, the last partial
-            (100, 30, 6, 3, 4.0, 12, 22),  # two words per copy
-            (64, 24, 8, 2, 6.0, 30, 23),  # exactly one word
+            # 32 rounds and 4 copies hold 3 * 32 + 4 words a trial: blocks
+            # of 256 and 44 trials
+            (16, 6, 4, 2, 4.0, 300, 21, 256 * 100),
+            (100, 30, 6, 3, 4.0, 12, 22, None),  # two words per copy
+            (64, 24, 8, 2, 6.0, 30, 23, None),  # exactly one word
         ],
     )
-    def test_identical_to_per_trial_reference(self, n, k, t, m, alpha, trials, seed):
+    def test_identical_to_per_trial_reference(
+        self, monkeypatch, block_sizes, n, k, t, m, alpha, trials, seed, cells
+    ):
+        if cells:
+            monkeypatch.setattr(drivers, "_BLOCK_CELLS", cells)
         got = drivers.run_bit_battery("gate-opt", n, k, t, m, alpha, trials, seed)
         want = reference_battery("gate-opt", n, k, t, m, alpha, trials, seed)
         assert_same_battery(got, want)
         assert len(got.x_ranks) == trials
+        if cells:
+            assert block_sizes == [256, 44]
 
     def test_without_diagnostics(self):
         args = (20, 8, 3, 2, 4.0, 25, 24)
@@ -80,26 +103,35 @@ class TestGateOptBatteryMatchesCircuitPath:
 
 class TestDepthOptBatteryMatchesCircuitPath:
     @pytest.mark.parametrize(
-        "n,k,t,m,alpha,trials,seed",
+        "n,k,t,m,alpha,trials,seed,cells",
         [
-            (100, 30, 6, 3, 2.0, drivers._TRIAL_BLOCK + 44, 26),  # two words, the last block partial
-            (64, 24, 8, 2, 6.0, 12, 27),  # exactly one word
-            (20, 8, 3, 3, 2.0, 40, 28),  # targets truncated at n
+            # two words; about 570 padded slot rows a trial: blocks of some
+            # 250 trials, the last partial
+            (100, 30, 6, 3, 2.0, 300, 26, 250 * 3500),
+            (64, 24, 8, 2, 6.0, 12, 27, None),  # exactly one word
+            (20, 8, 3, 3, 2.0, 40, 28, None),  # targets truncated at n
         ],
     )
-    def test_identical_to_per_trial_reference(self, n, k, t, m, alpha, trials, seed):
+    def test_identical_to_per_trial_reference(
+        self, monkeypatch, block_sizes, n, k, t, m, alpha, trials, seed, cells
+    ):
+        if cells:
+            monkeypatch.setattr(drivers, "_BLOCK_CELLS", cells)
         got = drivers.run_bit_battery("depth-opt", n, k, t, m, alpha, trials, seed)
         want = reference_battery("depth-opt", n, k, t, m, alpha, trials, seed)
         assert_same_battery(got, want)
         assert len(got.ensembles) == trials
+        if cells:
+            assert len(block_sizes) >= 2 and block_sizes[-1] < block_sizes[0]
 
 
 @pytest.mark.parametrize("algorithm", ["gate-opt", "depth-opt"])
-def test_blocks_closed_by_row_words(monkeypatch, algorithm):
-    # a budget of 300 words closes a block after a few trials
-    monkeypatch.setattr(drivers, "_BLOCK_CELLS", 300)
+def test_blocks_closed_by_row_words(monkeypatch, block_sizes, algorithm):
+    # a budget of 1200 words closes a block after a few trials
+    monkeypatch.setattr(drivers, "_BLOCK_CELLS", 1200)
     args = (40, 12, 3, 2, 3.0, 30, 29)
     assert_same_battery(drivers.run_bit_battery(algorithm, *args), reference_battery(algorithm, *args))
+    assert 1 < len(block_sizes) < 30, block_sizes
 
 
 def words(*values):
@@ -133,9 +165,9 @@ class TestMomentStatesMatchCircuitPath:
     @pytest.mark.parametrize(
         "n,k,t,samples,params",
         [
-            (6, 4, 1, 260, (16.0, 2, 24.0, 3, 2)),  # 256 samples a block, the last partial
+            (6, 4, 1, 260, (16.0, 2, 24.0, 3, 2)),  # three blocks, the last partial
             (6, 4, 2, 260, (16.0, 2, 24.0, 3, 2)),
-            (8, 6, 3, 70, (4.0, 2, 6.0, 3, 2)),  # 64 samples a block
+            (8, 6, 3, 70, (4.0, 2, 6.0, 3, 2)),
             (4, 2, 2, 40, (8.0, 2, 8.0, 2, 2)),
         ],
     )
@@ -152,6 +184,67 @@ class TestMomentStatesMatchCircuitPath:
         states = reference_moment_states(4, 2, 2, 150, 32, 8.0, 2, 8.0, 2, 2)
         moment = subsetstate.empirical_moment(states, 2)
         assert exp.td_primary == subsetstate.trace_distance(moment, subsetstate.haar_moment(4, 2))
+
+
+def at_default_and_one_trial_blocks(monkeypatch, block_sizes, run, trials):
+    """``run()`` at the default budget, which packs several trials a
+    block, and again with one trial a block."""
+    default = run()
+    assert max(block_sizes) > 1
+    block_sizes.clear()
+    monkeypatch.setattr(drivers, "_BLOCK_CELLS", 1)
+    one = run()
+    assert block_sizes == [1] * trials
+    return default, one
+
+
+class TestBlockSizeInvariance:
+    """Every trial loop gives the same results whatever the block size."""
+
+    @pytest.mark.parametrize("algorithm", ["gate-opt", "depth-opt"])
+    def test_bit_battery(self, monkeypatch, block_sizes, algorithm):
+        default, one = at_default_and_one_trial_blocks(
+            monkeypatch, block_sizes,
+            lambda: drivers.run_bit_battery(algorithm, 70, 10, 4, 3, 2.0, 40, 41), 40,
+        )
+        assert_same_battery(one, default)
+
+    def test_sign_trials(self, monkeypatch, block_sizes):
+        default, one = at_default_and_one_trial_blocks(
+            monkeypatch, block_sizes, lambda: drivers.run_sign_trials(70, 8, 8.0, 4, 3, 40, 42), 40
+        )
+        assert one.layer_count == default.layer_count
+        assert one.gate_counts == default.gate_counts
+        assert np.array_equal(one.sign_vectors, default.sign_vectors)
+
+    def test_moment_states(self, monkeypatch, block_sizes):
+        default, one = at_default_and_one_trial_blocks(
+            monkeypatch, block_sizes,
+            lambda: list(drivers.moment_states(6, 4, 2, 60, 43, 16.0, 2, 24.0, 3, 2)), 60,
+        )
+        assert np.array_equal([s.images for s in one], [s.images for s in default])
+        assert np.array_equal([s.signs for s in one], [s.signs for s in default])
+
+    def test_sim_report_bytes(self, monkeypatch, block_sizes, tmp_path):
+        runner = CliRunner()
+        circuit = tmp_path / "c.json"
+        res = runner.invoke(cli.cli, [
+            "gen", "--algorithm", "gate-opt", "--n", "70", "--k", "10", "--t", "4", "--alpha", "2",
+            "--m", "3", "--seed", "9", "--out", str(circuit),
+        ])
+        assert res.exit_code == 0, res.output
+        report = tmp_path / "r.json"
+
+        def sim():
+            res = runner.invoke(cli.cli, [
+                "sim", "--circuit", str(circuit), "--trials", "30", "--seed", "10",
+                "--diagnostics", "rank", "--report", str(report),
+            ])
+            assert res.exit_code == 0, res.output
+            return report.read_bytes()
+
+        default, one = at_default_and_one_trial_blocks(monkeypatch, block_sizes, sim, 30)
+        assert one == default
 
 
 class TestCcxCounts:
@@ -189,3 +282,33 @@ def test_moment_guard_runs_before_sampling(monkeypatch):
     # t = 3 at n = 6: d_sym = 45760, so 5000 samples need a 5000 x 5000 Gram
     with pytest.raises(ValueError, match="over the cap"):
         drivers.run_moment_experiment(6, 4, 3, 5000, master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "workers,cores,pool",
+    [(10**6, 8, 8), (10**6, 64, 10), (3, 64, 3), (5, None, 1)],
+)
+def test_rank_mc_pool_is_capped(monkeypatch, workers, cores, pool):
+    # 600 trials make spans of at least 64, so at most ten of them
+    sizes = []
+
+    class RecordingPool:
+        """Runs the spans in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return map(fn, spans)
+
+    want = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 600, 4)
+    monkeypatch.setattr(drivers, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(drivers.os, "cpu_count", lambda: cores)
+    assert drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 600, 4, workers=workers) == want
+    assert sizes == [pool]

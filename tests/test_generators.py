@@ -29,6 +29,7 @@ from subsetphase.generators import (
     gate_opt_program,
     gate_opt_thermalizer,
     sign_cost_profile,
+    sign_program,
     sign_thermalizer,
 )
 from subsetphase.analysis import predicted_cost
@@ -254,6 +255,9 @@ class TestGateOptProgram:
         stage1, stage2 = slice(0, gp.rounds), slice(gp.rounds, None)
         assert not cond[stage1, k:].any() and not flips[stage1, :k].any()
         assert not cond[stage2, :k].any() and not flips[stage2, k:].any()
+        [(masks, patterns, flips, diagonal)] = prog.rows()
+        assert masks is prog.masks and patterns is prog.patterns and flips is prog.flips
+        assert diagonal.shape == (2 * gp.rounds,) and not diagonal.any()
 
     def test_rejects_m_above_windows(self):
         with pytest.raises(ValueError):
@@ -359,11 +363,12 @@ class TestDepthOptProgram:
     def test_rows_equal_compiled_circuit(self, n, k, t, alpha, m):
         for seed in range(3):
             gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
-            rows = [np.concatenate(a) for a in zip(*depth_opt_program(gp).stages())]
+            rows = [np.concatenate(a) for a in zip(*depth_opt_program(gp).rows())]
             want = compile_circuit(prmc_depth_opt_reference(gp).layers, words_needed(n))
             assert np.array_equal(rows[0], want.masks)
             assert np.array_equal(rows[1], want.patterns)
             assert np.array_equal(rows[2], want.flips)
+            assert np.array_equal(rows[3], want.diagonal)
 
     def test_stage_rows_follow_the_circuit_stages(self):
         gp = GenParams(n=36, k=9, t=2, alpha=2.0, m=3, seed=3)
@@ -374,8 +379,11 @@ class TestDepthOptProgram:
         assert prog.fired.ravel().tolist() == [len(layer.gates) for layer in ref.layers]
         assert prog.sites.shape == prog.values.shape == (ref.gate_count, 3)
         assert prog.targets.shape == (ref.gate_count,)
-        for (masks, patterns, flips), rows in zip(prog.stages(), prog.fired.sum(axis=1)):
+        segments = prog.rows()
+        assert len(segments) == stages
+        for (masks, patterns, flips, diagonal), rows in zip(segments, prog.fired.sum(axis=1)):
             assert masks.shape == patterns.shape == flips.shape == (rows, 1)
+            assert diagonal.shape == (rows,)
 
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
@@ -470,6 +478,14 @@ class TestSignThermalizer:
     def test_validates(self):
         for seed in range(6):
             assert validate(sign_thermalizer(n=32, p=8, alpha=3.0, t=4, m=2, seed=seed)) == []
+
+    @pytest.mark.parametrize("n,p,alpha,t,m", [(24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1)])
+    def test_rows_equal_compiled_circuit(self, n, p, alpha, t, m):
+        for seed in range(3):
+            [rows] = sign_program(n, p, alpha, t, m, seed).rows()
+            want = compile_circuit(sign_thermalizer(n, p, alpha, t, m, seed).layers, words_needed(n))
+            for got, a in zip(rows, (want.masks, want.patterns, want.flips, want.diagonal)):
+                assert np.array_equal(got, a)
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError):

@@ -83,3 +83,17 @@ def test_depth_opt_rounds_readers():
     # the program and the lazy cost profile; the Circuit is a program view
     readers = sorted(where for _, where in _calls_by_function("_depth_opt_rounds"))
     assert readers == ["generators.depth_opt_cost_profile", "generators.depth_opt_program"]
+
+
+KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
+
+
+def test_only_run_blocks_drives_the_kernel():
+    # one runner decides how trials share a kernel call
+    callers = {
+        (name, where)
+        for name in KERNEL_CALLS
+        for _, where in _calls_by_function(name)
+        if where.partition(".")[0] in ("drivers", "cli")
+    }
+    assert callers == {(name, "drivers.run_blocks") for name in KERNEL_CALLS}

@@ -238,12 +238,13 @@ class TestEngineAgainstOracle:
     @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
     @pytest.mark.parametrize("side", ["below", "equal", "above"])
     @pytest.mark.parametrize("n,k,t", [(4, 2, 1), (4, 2, 2), (3, 2, 3)])
-    def test_distance_matches_dense(self, n, k, t, side, ensemble):
+    def test_distance_matches_dense(self, monkeypatch, n, k, t, side, ensemble):
         d_sym = comb((1 << n) + t - 1, t)
         count = {"below": d_sym // 2, "equal": d_sym, "above": 2 * d_sym + 7}[side]
         states = ENSEMBLES[ensemble](n, k, t, count, 31 + t)
         # 64-sample blocks put the switch to the d_sym side mid-block
-        moment = empirical_moment(states, t, chunk=64)
+        monkeypatch.setattr(subsetstate, "_SYRK_CHUNK", 64)
+        moment = empirical_moment(states, t)
         assert moment.form == ("moment" if side == "above" else "gram")
         got = trace_distance(moment, haar_moment(n, t))
         want = dense_trace_distance(dense_empirical_moment(states, t), dense_haar_moment(n, t))
