@@ -417,6 +417,8 @@ def scaling(grid_spec, algorithm, seed, out):
     unknown = sorted(set(grid) - {"n", "t", "k", "alpha", "m", "p"})
     if unknown:
         raise click.BadParameter(f"unknown grid name(s): {', '.join(unknown)}")
+    if "p" in grid and algorithm != "sign":
+        raise click.BadParameter(f"grid name p applies to --algorithm sign only, not {algorithm}")
     if len(grid.get("p", ["auto"])) != 1:
         raise click.BadParameter(f"grid takes one p value, got p={','.join(grid['p'])}")
     rows = []

@@ -368,13 +368,14 @@ def monte_carlo_full_rank_streamed(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if workers <= 1:
-        hits = _mc_rank_chunk((rows, cols, p, master_seed, 0, trials))
+    chunk = max(64, -(-trials // max(workers, 1)))
+    spans = [(rows, cols, p, master_seed, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    # the pool starts all its workers at once: no more than spans or
+    # cores, and a pool of one would only fork a copy of this process
+    size = min(workers, len(spans), os.cpu_count() or 1)
+    if size <= 1:
+        hits = sum(map(_mc_rank_chunk, spans))
     else:
-        chunk = max(64, -(-trials // workers))
-        spans = [(rows, cols, p, master_seed, lo, min(lo + chunk, trials))
-                 for lo in range(0, trials, chunk)]
-        # the pool starts all its workers at once: no more than spans or cores
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             hits = sum(pool.map(_mc_rank_chunk, spans))
     return MonteCarloEstimate(hits / trials, wilson_interval(hits, trials), hits, trials)

@@ -13,8 +13,15 @@ a ``Circuit`` that is an export view of that program:
 * ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
   that randomize the sign bits, as slot arrays.
 
-Every round draws like one of two condition samplers: ``_rmc_draw``
-(one shared condition) or ``_prmc_draw`` (p disjoint conditions).
+Each generator reads its random stream in one draw function, one stage
+at a time.  Stage j reads its own stream ("gen", <algorithm>, j) as
+three blocks covering all of the stage's rounds: the firing bits (the
+target mask, or the apply bits), the polarity coins, then a float64 key
+matrix of shape (rounds, window).  The smallest m keys of a row pick a
+uniform m-subset of the window; the keys in ascending order give a
+uniform arrangement whose consecutive chunks of m are disjoint groups.
+Because the firing bits come first, the cost profiles read only them.
+
 Generation is fully decoupled from simulation: the drivers run the
 programs, ``gen`` writes the ``Circuit`` views (plus round/stage
 metadata for diagnostics), and neither touches ensemble state.
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -76,36 +82,6 @@ class GenParams:
         return {"n": self.n, "k": self.k, "t": self.t, "alpha": self.alpha, "m": self.m}
 
 
-def _rmc_draw(n: int, window: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one shared-condition round, unvalidated.
-
-    Draws m distinct control offsets uniformly from a window of the given
-    size, each with an independent fair-coin required value, plus a
-    uniform mask over the n - window candidate target sites.  Returns the
-    unsorted 0-based window offsets of the m controls and the fused coin
-    vector (m polarities, then the target mask).
-    """
-    # a permutation prefix is a uniform distinct draw; one fused coin
-    # vector serves both the polarities and the mask
-    picks = rng.permutation(window)[:m]
-    return picks, rng.integers(0, 2, size=m + n - window, dtype=np.uint8)
-
-
-def _prmc_draw(window: int, m: int, p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one parallel round, unvalidated.
-
-    Draws m*p distinct offsets from a window of the given size,
-    partitioned uniformly into p groups of m (groups keep their random
-    internal order), with i.i.d. fair-coin polarities and one fair apply
-    bit per group.  Returns the 0-based window offsets of the m*p group
-    members in draw order and one coin vector (m*p polarities, then p
-    apply bits).
-    """
-    # a permutation prefix is a uniform random arrangement, so the
-    # consecutive chunks of m form a uniform partition
-    return rng.permutation(window)[: m * p], rng.integers(0, 2, size=m * p + p, dtype=np.uint8)
-
-
 def _sorted_controls(terms: list[ControlTerm]) -> tuple[ControlTerm, ...]:
     return tuple(sorted(terms, key=lambda c: c.position))
 
@@ -131,37 +107,54 @@ class GateOptProgram:
         return [(self.masks, self.patterns, self.flips, np.zeros(len(self.masks), dtype=bool))]
 
 
-def gate_opt_program(gp: GenParams) -> GateOptProgram:
-    """Draw the two-stage serial bit thermalizer as packed round arrays.
+def _gate_opt_draw(gp: GenParams, firing_only: bool = False):
+    """Draw the gate-opt stream, one stage at a time.
 
-    Stage 1 runs ``rounds`` shared-condition rounds (``_rmc_draw``) with m
-    controls drawn from [1, k] and a target mask over [k+1, n]; stage 2
-    mirrors it with controls in [k+1, n] and targets in [1, k].  This is
-    the only consumer of the gate-opt stream: ``gate_opt_thermalizer`` and
-    ``gate_opt_cost_profile`` are views of its result.
+    Stage 0 (stage 1 of the circuit metadata) conditions on m sites of
+    [1, k] and targets [k+1, n]; stage 1 mirrors it with controls in
+    [k+1, n] and targets [1, k].  Stage j reads the stream ("gen",
+    "gate-opt", j) in three blocks: the (rounds, targets) uint8 target
+    mask, the (rounds, m) polarity coins, then a (rounds, window) float64
+    key matrix whose m smallest keys per row pick the round's controls.
+    Yields ``(target_first, mask, coins, sites)`` per stage, ``sites``
+    holding each round's 1-based control sites in ascending order, the
+    j-th smallest taking the j-th coin.  With ``firing_only`` only the
+    masks are drawn (coins and sites are None).  This is the only
+    consumer of the gate-opt stream.
     """
-    n, k, m = gp.n, gp.k, gp.m
+    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
     if m > k:
         raise ValueError("gate-opt requires m <= k (stage-1 controls live in [1, k])")
     if m > n - k:
         raise ValueError("gate-opt requires m <= n-k (stage-2 controls live in [k+1, n])")
-    rng = stream(gp.seed, "gen", "gate-opt")
-    rounds = gp.rounds
-    condition = np.zeros((2 * rounds, n), dtype=np.uint8)
-    pattern = np.zeros((2 * rounds, n), dtype=np.uint8)
+    for stage, (x1, window, target_first) in enumerate(((1, k, k + 1), (k + 1, n - k, 1))):
+        rng = stream(gp.seed, "gen", "gate-opt", stage)
+        mask = rng.integers(0, 2, size=(rounds, n - window), dtype=np.uint8)
+        if firing_only:
+            yield target_first, mask, None, None
+            continue
+        coins = rng.integers(0, 2, size=(rounds, m), dtype=np.uint8)
+        picks = np.argpartition(rng.random((rounds, window)), m - 1, axis=1)[:, :m]
+        yield target_first, mask, coins, x1 + np.sort(picks, axis=1)
+
+
+def gate_opt_program(gp: GenParams) -> GateOptProgram:
+    """Draw the two-stage serial bit thermalizer as packed round arrays:
+    the rounds of ``_gate_opt_draw``'s stages in order.
+    ``gate_opt_thermalizer`` is a view of the result."""
+    n, rounds = gp.n, gp.rounds
+    sites, coins = [], []
     targets = np.zeros((2 * rounds, n), dtype=np.uint8)
-    for stage, (x1, window, t_lo, t_hi) in enumerate(((1, k, k, n), (k + 1, n - k, 0, k))):
-        draws = [_rmc_draw(n, window, m, rng) for _ in range(rounds)]
-        rows = slice(stage * rounds, (stage + 1) * rounds)
-        # the j-th smallest position takes the j-th polarity coin
-        sites = np.sort(np.array([picks for picks, _ in draws]), axis=1) + (x1 - 1)
-        coins = np.array([c for _, c in draws])
-        np.put_along_axis(condition[rows], sites, 1, axis=1)
-        np.put_along_axis(pattern[rows], sites, coins[:, :m], axis=1)
-        targets[rows, t_lo:t_hi] = coins[:, m:]
+    for stage, (target_first, mask, stage_coins, stage_sites) in enumerate(_gate_opt_draw(gp)):
+        lo = target_first - 1
+        targets[stage * rounds : (stage + 1) * rounds, lo : lo + mask.shape[1]] = mask
+        sites.append(stage_sites)
+        coins.append(stage_coins)
+    sites = np.concatenate(sites)
+    masks, patterns = pack_sites(np.array((sites, sites * np.concatenate(coins))), words_needed(n))
     return GateOptProgram(
-        masks=pack_bits(condition),
-        patterns=pack_bits(pattern),
+        masks=masks,
+        patterns=patterns,
         flips=pack_bits(targets),
         fired=targets.sum(axis=1, dtype=np.int64),
     )
@@ -243,28 +236,36 @@ def depth_opt_stage_count(n: int, k: int, m: int) -> int:
     return len(_depth_opt_stages(n, k, m)) - 1
 
 
-def _depth_opt_rounds(gp: GenParams):
-    """Draw the staged thermalizer round by round.
+def _depth_opt_draw(gp: GenParams, firing_only: bool = False):
+    """Draw the depth-opt stream, one stage at a time.
 
-    Yields ``(stage, positions, values, apply_bits)`` per round, where
-    ``stage`` is its ``_depth_opt_stages`` row, ``positions`` and
-    ``values`` hold the round's m*p group members in draw order (group x
-    is entries x*m .. x*m + m - 1), and ``apply_bits`` holds one bit per
-    target slot: the groups past the stage's slots are drawn but never
-    fire.  This is the only consumer of the depth-opt stream.  It is
-    lazy because sweeps reach sizes where storing every round's
-    positions would take gigabytes.
+    Stage j, the ``_depth_opt_stages`` row (x1, x2, p, slots, _), reads
+    the stream ("gen", "depth-opt", j) in three blocks: the
+    (rounds, slots) uint8 apply bits, the (rounds, slots, m) polarity
+    coins, then a (rounds, x2 - x1 + 1) float64 key matrix.  The window
+    sites in ascending key order form a uniform arrangement whose
+    consecutive chunks of m are the round's p groups; only the first
+    ``slots`` groups can fire, so only theirs are kept.  Yields ``(stage,
+    apply, coins, sites)`` per stage, ``sites`` holding each kept
+    group's 1-based sites in draw order.  With ``firing_only`` only the
+    apply bits are drawn (coins and sites are None), which keeps the
+    cost profile at one small block per stage.  This is the only
+    consumer of the depth-opt stream.
     """
-    n, k, m = gp.n, gp.k, gp.m
+    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
     stages = _depth_opt_stages(n, k, m)
     if n - k < 2:
         raise ValueError("depth-opt closing window [k+1, n] needs at least 2 sites")
-    rng = stream(gp.seed, "gen", "depth-opt")
-    for stage in stages:
-        x1, x2, p, slots, _ = stage
-        for _ in range(gp.rounds):
-            offsets, coins = _prmc_draw(x2 - x1 + 1, m, p, rng)
-            yield stage, x1 + offsets, coins[: m * p], coins[m * p : m * p + slots]
+    for j, stage in enumerate(stages):
+        x1, x2, _, slots, _ = stage
+        rng = stream(gp.seed, "gen", "depth-opt", j)
+        apply = rng.integers(0, 2, size=(rounds, slots), dtype=np.uint8)
+        if firing_only:
+            yield stage, apply, None, None
+            continue
+        coins = rng.integers(0, 2, size=(rounds, slots, m), dtype=np.uint8)
+        order = np.argsort(rng.random((rounds, x2 - x1 + 1)), axis=1)[:, : slots * m]
+        yield stage, apply, coins, x1 + order.reshape(rounds, slots, m)
 
 
 @dataclass(frozen=True)
@@ -299,18 +300,16 @@ class DepthOptProgram:
 def depth_opt_program(gp: GenParams) -> DepthOptProgram:
     """Draw the staged thermalizer as arrays of its fired slots.
 
-    Each stage's rounds from ``_depth_opt_rounds`` are stacked and its
-    fired slots selected in one step: slot x of a round conditions on
-    the round's x-th group and targets site target_base + x + 1.
+    Each stage's fired slots are selected from its ``_depth_opt_draw``
+    blocks in one step: slot x of a round conditions on the round's x-th
+    group and targets site target_base + x + 1.
     ``depth_opt_thermalizer`` is a view of the result.
     """
     sites, values, targets, fired = [], [], [], []
-    for (_, _, p, slots, target_base), draws in groupby(_depth_opt_rounds(gp), key=lambda d: d[0]):
-        _, positions, coins, apply_bits = zip(*draws)
-        shape = (len(positions), p, gp.m)
-        on = np.array(apply_bits) == 1
-        sites.append(np.array(positions).reshape(shape)[:, :slots][on])
-        values.append(np.array(coins).reshape(shape)[:, :slots][on])
+    for (_, _, _, _, target_base), apply, coins, stage_sites in _depth_opt_draw(gp):
+        on = apply == 1
+        sites.append(stage_sites[on])
+        values.append(coins[on])
         targets.append(target_base + 1 + np.nonzero(on)[1])
         fired.append(on.sum(axis=1))
     return DepthOptProgram(
@@ -389,14 +388,18 @@ class SignProgram:
         return [(masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool))]
 
 
-def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:
-    """Draw the parallel sign thermalizer as slot arrays.
+def _sign_draw(n: int, p: int, alpha: float, t: int, m: int, seed: int, firing_only: bool = False):
+    """Draw the sign stream: its one stage of ceil(alpha*t/p) layers.
 
-    Emits ceil(alpha*t/p) layers.  Each layer partitions [1, m*p] into p
-    disjoint m-site groups, each with fair-coin required values and a
-    fair apply bit.  This is the only consumer of the sign stream:
-    ``sign_thermalizer`` and ``sign_cost_profile`` are views of its
-    result.
+    Each layer partitions the window [1, m*p] into p disjoint m-site
+    groups, each with fair-coin required values and a fair apply bit.
+    The stream ("gen", "sign", 0) gives three blocks: the (layers, p)
+    uint8 apply bits, the (layers, p, m) polarity coins, then a
+    (layers, m*p) float64 key matrix; the window sites in ascending key
+    order, in chunks of m, are the groups.  Returns ``(apply, coins,
+    sites)``, ``sites`` holding each group's 1-based sites in draw
+    order.  With ``firing_only`` only the apply bits are drawn (coins
+    and sites are None).  This is the only consumer of the sign stream.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -408,16 +411,21 @@ def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) ->
         raise ValueError("condition window [1, m*p] needs at least 2 sites")
     if t < 1 or alpha <= 0:
         raise ValueError("t and alpha must be positive")
-    rng = stream(seed, "gen", "sign")
-    n_layers = ceil_rounds(alpha * t / p)
-    mp = m * p
-    offsets = np.empty((n_layers, mp), dtype=np.int64)
-    coins = np.empty((n_layers, mp + p), dtype=np.uint8)
-    for li in range(n_layers):
-        # a parallel round on the window [1, m*p]
-        offsets[li], coins[li] = _prmc_draw(mp, m, p, rng)
-    shape = (n_layers, p, m)
-    return SignProgram(n, (offsets + 1).reshape(shape), coins[:, :mp].reshape(shape), coins[:, mp:] == 1)
+    layers = ceil_rounds(alpha * t / p)
+    rng = stream(seed, "gen", "sign", 0)
+    apply = rng.integers(0, 2, size=(layers, p), dtype=np.uint8)
+    if firing_only:
+        return apply, None, None
+    coins = rng.integers(0, 2, size=(layers, p, m), dtype=np.uint8)
+    order = np.argsort(rng.random((layers, m * p)), axis=1)
+    return apply, coins, 1 + order.reshape(layers, p, m)
+
+
+def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:
+    """Draw the parallel sign thermalizer as slot arrays (the blocks of
+    ``_sign_draw``).  ``sign_thermalizer`` is a view of the result."""
+    apply, coins, sites = _sign_draw(n, p, alpha, t, m, seed)
+    return SignProgram(n, sites, coins, apply == 1)
 
 
 def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> Circuit:
@@ -468,33 +476,31 @@ class CostMeasurement:
 
 
 def gate_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``gate_opt_thermalizer(gp)`` from its program, without
-    materializing gates."""
-    gates = int(gate_opt_program(gp).fired.sum())
+    """Costs of ``gate_opt_thermalizer(gp)`` from its target masks alone:
+    every round keeps one layer per candidate target."""
+    gates = sum(int(mask.sum()) for _, mask, _, _ in _gate_opt_draw(gp, firing_only=True))
     cost = ccx_ladder_count(gp.m)
     slots = gp.rounds * gp.n
     return CostMeasurement(gates, slots, gates * cost + (slots - gates), gates * cost)
 
 
+def _layer_costs(fired: np.ndarray, cost: int) -> CostMeasurement:
+    """Costs of layers whose fired-slot counts are ``fired``: a layer with
+    a gate takes its ladder depth, an empty one a unit idle step."""
+    gates = int(fired.sum())
+    return CostMeasurement(gates, len(fired), int(np.where(fired > 0, cost, 1).sum()), gates * cost)
+
+
 def depth_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``depth_opt_thermalizer(gp)`` from a lazy walk of its
-    rounds: at sweep sizes the program would hold millions of slots."""
-    cost = ccx_ladder_count(gp.m)
-    gates = 0
-    decomposed = 0
-    rounds = 0
-    for _, _, _, apply_bits in _depth_opt_rounds(gp):
-        fired = int(np.count_nonzero(apply_bits))
-        gates += fired
-        decomposed += cost if fired else 1
-        rounds += 1
-    return CostMeasurement(gates, rounds, decomposed, gates * cost)
+    """Costs of ``depth_opt_thermalizer(gp)`` from its apply bits alone,
+    one stage at a time: at sweep sizes the program would hold millions
+    of slots."""
+    fired = [apply.sum(axis=1) for _, apply, _, _ in _depth_opt_draw(gp, firing_only=True)]
+    return _layer_costs(np.concatenate(fired), ccx_ladder_count(gp.m))
 
 
 def sign_cost_profile(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> CostMeasurement:
-    """Costs of ``sign_thermalizer(...)`` from its program."""
-    fired = sign_program(n, p, alpha, t, m, seed).fired
-    cost = ccx_ladder_count(m)  # m-site condition: m-1 controls plus the signed target
-    gates = int(fired.sum())
-    decomposed = int(np.where(fired.any(axis=1), cost, 1).sum())
-    return CostMeasurement(gates, fired.shape[0], decomposed, gates * cost)
+    """Costs of ``sign_thermalizer(...)`` from its apply bits alone."""
+    apply, _, _ = _sign_draw(n, p, alpha, t, m, seed, firing_only=True)
+    # m-site condition: m-1 controls plus the signed target
+    return _layer_costs(apply.sum(axis=1), ccx_ladder_count(m))

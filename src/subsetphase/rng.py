@@ -14,8 +14,10 @@ import hashlib
 import numpy as np
 
 # Recorded in every output artifact so an independent run can tell whether
-# its streams are bit-compatible with ours.
-RNG_KIND = "philox4x64/sha256-derived-streams"
+# its streams are bit-compatible with ours.  The suffix names the layout
+# of the generator streams: one stream per (generator, stage), read as
+# firing bits, polarity coins, then a (rounds, window) key matrix.
+RNG_KIND = "philox4x64/sha256-derived-streams/gen-stage-blocks-v2"
 
 _SEP = b"\x1f"
 

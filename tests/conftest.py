@@ -9,36 +9,67 @@ import numpy as np
 
 from subsetphase import subsetstate
 from subsetphase.circuit import ControlTerm
-from subsetphase.generators import GenParams, _prmc_draw, _rmc_draw, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
 from subsetphase.rng import derive_seed
 from subsetphase.subsetstate import to_statevector
 
 
-def rmc(
-    n: int, x1: int, x2: int, m: int, rng: np.random.Generator
-) -> tuple[list[ControlTerm], np.ndarray]:
-    """Replay oracle of one shared-condition round on the window [x1, x2].
+def stage_blocks(
+    rng: np.random.Generator, rounds: int, firing: int, coins: int, window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One generator stage's three blocks, read from ``rng`` in layout
+    order: (rounds, firing) fair bits, (rounds, coins) fair polarity
+    coins, then a (rounds, window) float64 key matrix."""
+    return (
+        rng.integers(0, 2, size=(rounds, firing), dtype=np.uint8),
+        rng.integers(0, 2, size=(rounds, coins), dtype=np.uint8),
+        rng.random((rounds, window)),
+    )
 
-    Draws m distinct control positions uniformly from the window, each
-    with an independent fair-coin required value, plus a uniform mask
-    over the n - (x2 - x1 + 1) candidate target sites.  Controls come
-    back in ascending position, the j-th smallest taking the j-th coin.
+
+def key_order(keys: np.ndarray) -> list[int]:
+    """Window offsets in ascending key order, by a plain Python sort."""
+    return sorted(range(len(keys)), key=lambda i: float(keys[i]))
+
+
+def rmc(
+    n: int, x1: int, x2: int, m: int, rng: np.random.Generator, rounds: int = 1
+) -> list[tuple[list[ControlTerm], np.ndarray]]:
+    """Replay oracle of a shared-condition stage on the window [x1, x2].
+
+    Reads the stage's blocks from ``rng`` (masks over the n - window
+    candidate targets, m polarity coins, window keys per round), then
+    walks them round by round: the m sites with the smallest keys are
+    the controls, in ascending position, the j-th smallest taking the
+    j-th coin.  Returns (controls, mask) per round.
     """
     if not (1 <= x1 < x2 <= n):
         raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
     window = x2 - x1 + 1
     if not 1 <= m <= window:
         raise ValueError(f"m={m} exceeds window size {window}")
-    picks, coins = _rmc_draw(n, window, m, rng)
-    controls = [ControlTerm(x1 + int(p), int(v)) for p, v in zip(np.sort(picks), coins[:m])]
-    return controls, coins[m:]
+    masks, coins, keys = stage_blocks(rng, rounds, n - window, m, window)
+    out = []
+    for mask, coin, key in zip(masks, coins, keys):
+        picks = sorted(key_order(key)[:m])
+        out.append(([ControlTerm(x1 + i, int(v)) for i, v in zip(picks, coin)], mask))
+    return out
 
 
 def prmc(
-    n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator
-) -> tuple[list[list[ControlTerm]], np.ndarray]:
-    """Replay oracle of one parallel round: p disjoint m-site conditions
-    on the window [x1, x2] (each in draw order) plus p apply bits."""
+    n: int, x1: int, x2: int, m: int, p: int, rng: np.random.Generator,
+    rounds: int = 1, slots: int | None = None,
+) -> list[tuple[list[list[ControlTerm]], np.ndarray]]:
+    """Replay oracle of a parallel stage: per round, p disjoint m-site
+    conditions on the window [x1, x2] and their apply bits.
+
+    Reads the stage's blocks from ``rng`` (apply bits, polarity coins and
+    window keys per round; bits and coins only for the first ``slots``
+    groups, all p by default), then walks them round by round: the
+    window sites in ascending key order, in chunks of m, are the groups,
+    each in draw order.  Returns (the first ``slots`` groups, apply
+    bits) per round.
+    """
     if not (1 <= x1 < x2 <= n):
         raise ValueError("window must satisfy 1 <= x1 < x2 <= n")
     if m < 1 or p < 1:
@@ -46,9 +77,17 @@ def prmc(
     window = x2 - x1 + 1
     if m * p > window:
         raise ValueError(f"m*p={m * p} exceeds window size {window}")
-    offsets, coins = _prmc_draw(window, m, p, rng)
-    terms = [ControlTerm(x1 + int(o), int(v)) for o, v in zip(offsets, coins[: m * p])]
-    return [terms[i * m : (i + 1) * m] for i in range(p)], coins[m * p :]
+    slots = p if slots is None else slots
+    applies, coins, keys = stage_blocks(rng, rounds, slots, slots * m, window)
+    out = []
+    for apply_bits, coin, key in zip(applies, coins, keys):
+        order = key_order(key)
+        groups = [
+            [ControlTerm(x1 + order[x * m + j], int(coin[x * m + j])) for j in range(m)]
+            for x in range(slots)
+        ]
+        out.append((groups, apply_bits))
+    return out
 
 
 def span_rank(rows: list[int]) -> int:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+from subsetphase import generators
 from subsetphase.circuit import (
     DECOMPOSED,
     MCX,
@@ -12,6 +14,7 @@ from subsetphase.circuit import (
     Gate,
     Layer,
     ccx_equivalent_count,
+    ccx_ladder_count,
     circuit_to_obj,
     depth,
     dumps_canonical,
@@ -19,7 +22,11 @@ from subsetphase.circuit import (
 )
 from subsetphase.copysim import compile_circuit, unpack_bits, words_needed
 from subsetphase.generators import (
+    CostMeasurement,
     GenParams,
+    _depth_opt_draw,
+    _gate_opt_draw,
+    _sign_draw,
     ceil_rounds,
     depth_opt_cost_profile,
     depth_opt_program,
@@ -52,13 +59,13 @@ class TestCeilRounds:
 
 class TestRmc:
     def test_window_filled_when_m_equals_window(self):
-        controls, mask = rmc(10, 3, 6, 4, stream(0, "rmc-full"))
+        [(controls, mask)] = rmc(10, 3, 6, 4, stream(0, "rmc-full"))
         assert [c.position for c in controls] == [3, 4, 5, 6]
         assert mask.shape == (6,)  # n minus window size
 
     def test_deterministic(self):
-        a = rmc(12, 1, 6, 3, stream(5, "rmc-det"))
-        b = rmc(12, 1, 6, 3, stream(5, "rmc-det"))
+        [a] = rmc(12, 1, 6, 3, stream(5, "rmc-det"))
+        [b] = rmc(12, 1, 6, 3, stream(5, "rmc-det"))
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
@@ -66,9 +73,7 @@ class TestRmc:
         n, x1, x2, m = 30, 1, 20, 4
         draws = 10_000
         counts = np.zeros(21)
-        rng = stream(2, "rmc-freq")
-        for _ in range(draws):
-            controls, _ = rmc(n, x1, x2, m, rng)
+        for controls, _ in rmc(n, x1, x2, m, stream(2, "rmc-freq"), rounds=draws):
             for c in controls:
                 counts[c.position] += 1
         expect = draws * m / 20
@@ -77,8 +82,8 @@ class TestRmc:
             assert abs(counts[pos] - expect) < 3.3 * sigma
 
     def test_value_coin_is_fair(self):
-        rng = stream(3, "rmc-vals")
-        vals = [c.required_value for _ in range(4000) for c in rmc(16, 1, 8, 2, rng)[0]]
+        rounds = rmc(16, 1, 8, 2, stream(3, "rmc-vals"), rounds=4000)
+        vals = [c.required_value for controls, _ in rounds for c in controls]
         assert abs(np.mean(vals) - 0.5) < 0.03
 
     def test_rejects_oversized_m(self):
@@ -92,16 +97,14 @@ class TestRmc:
 
 class TestPrmc:
     def test_single_group_mirrors_rmc_shape(self):
-        groups, apply_bits = prmc(16, 1, 8, 3, 1, stream(7, "prmc-1"))
+        [(groups, apply_bits)] = prmc(16, 1, 8, 3, 1, stream(7, "prmc-1"))
         assert len(groups) == 1 and len(groups[0]) == 3
         assert apply_bits.shape == (1,)
         positions = [c.position for c in groups[0]]
         assert len(set(positions)) == 3 and all(1 <= p <= 8 for p in positions)
 
     def test_groups_pairwise_disjoint(self):
-        rng = stream(8, "prmc-disjoint")
-        for _ in range(300):
-            groups, _ = prmc(40, 1, 36, 3, 12, rng)
+        for groups, _ in prmc(40, 1, 36, 3, 12, stream(8, "prmc-disjoint"), rounds=300):
             seen: set[int] = set()
             for g in groups:
                 for c in g:
@@ -109,8 +112,7 @@ class TestPrmc:
                     seen.add(c.position)
 
     def test_apply_bits_fair(self):
-        rng = stream(9, "prmc-apply")
-        bits = np.concatenate([prmc(20, 1, 20, 2, 10, rng)[1] for _ in range(1000)])
+        bits = np.concatenate([b for _, b in prmc(20, 1, 20, 2, 10, stream(9, "prmc-apply"), rounds=1000)])
         assert abs(bits.mean() - 0.5) < 0.02
 
     def test_rejects_oversized_product(self):
@@ -210,13 +212,13 @@ class TestGateOpt:
 
 def rmc_gate_opt_reference(gp: GenParams) -> Circuit:
     """Round-by-round ``rmc`` construction of the gate-opt circuit: the
-    reference for the program and its export view."""
+    reference for the program and its export view.  Stage j (numbered
+    j + 1 in the metadata) reads the stream ("gen", "gate-opt", j)."""
     n, k, m = gp.n, gp.k, gp.m
-    rng = stream(gp.seed, "gen", "gate-opt")
     layers, meta = [], []
     for stage, x1, x2, target_first in ((1, 1, k, k + 1), (2, k + 1, n, 1)):
-        for _ in range(gp.rounds):
-            controls, mask = rmc(n, x1, x2, m, rng)
+        rng = stream(gp.seed, "gen", "gate-opt", stage - 1)
+        for controls, mask in rmc(n, x1, x2, m, rng, gp.rounds):
             meta.append({"stage": stage, "layer": len(layers),
                          "controls": [[c.position, c.required_value] for c in controls]})
             for idx, bit in enumerate(mask):
@@ -319,7 +321,8 @@ class TestDepthOpt:
 
 def prmc_depth_opt_reference(gp: GenParams) -> Circuit:
     """Round-by-round ``prmc`` construction of the depth-opt circuit: the
-    reference for the program and its export view."""
+    reference for the program and its export view.  Stage j reads the
+    stream ("gen", "depth-opt", j) and keeps its first ``slots`` groups."""
     n, k, m = gp.n, gp.k, gp.m
     # growth stages from s = k, each targeting the next p sites, then the closer
     stages = []
@@ -328,13 +331,12 @@ def prmc_depth_opt_reference(gp: GenParams) -> Circuit:
         stages.append((1, s, s // m, min(s // m, n - s), s))
         s += s // m
     stages.append((k + 1, n, (n - k) // m, min((n - k) // m, k), 0))
-    rng = stream(gp.seed, "gen", "depth-opt")
     layers, meta = [], []
-    for x1, x2, p, slots, target_base in stages:
+    for j, (x1, x2, p, slots, target_base) in enumerate(stages):
         meta.append({"s": x2 if x1 == 1 else "closing", "p": p, "targets": slots,
                      "first_layer": len(layers)})
-        for _ in range(gp.rounds):
-            groups, apply_bits = prmc(n, x1, x2, m, p, rng)
+        rng = stream(gp.seed, "gen", "depth-opt", j)
+        for groups, apply_bits in prmc(n, x1, x2, m, p, rng, gp.rounds, slots):
             layers.append(Layer([
                 Gate(MCX, tuple(sorted(groups[x], key=lambda c: c.position)), target_base + x + 1)
                 for x in range(slots)
@@ -438,6 +440,143 @@ class TestCostProfiles:
             assert prof.decomposed_depth == depth(c, DECOMPOSED)
             assert prof.ccx_count == ccx_equivalent_count(c)
 
+    # the first shape has a two-site closing window
+    GRID = [(10, 8, 1, 2.0, 1), (12, 5, 2, 2.0, 3), (64, 24, 8, 6.0, 2), (100, 30, 4, 2.0, 3),
+            (130, 64, 3, 2.0, 4)]
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", GRID)
+    def test_bit_profiles_equal_program_costs(self, n, k, t, alpha, m):
+        cost = ccx_ladder_count(m)
+        for seed in range(3):
+            gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
+            fired = depth_opt_program(gp).fired.ravel()
+            gates = int(fired.sum())
+            decomposed = int(np.where(fired > 0, cost, 1).sum())
+            assert depth_opt_cost_profile(gp) == CostMeasurement(gates, len(fired), decomposed, gates * cost)
+            # one layer per candidate target, empty when its mask bit is 0
+            gates = int(gate_opt_program(gp).fired.sum())
+            slots = gp.rounds * n
+            want = CostMeasurement(gates, slots, gates * cost + slots - gates, gates * cost)
+            assert gate_opt_cost_profile(gp) == want
+
+    @pytest.mark.parametrize("n,p,alpha,t,m", [(24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1),
+                                               (2, 1, 1.0, 1, 2)])
+    def test_sign_profile_equals_program_costs(self, n, p, alpha, t, m):
+        cost = ccx_ladder_count(m)
+        for seed in range(3):
+            fired = sign_program(n, p, alpha, t, m, seed).fired.sum(axis=1)
+            gates = int(fired.sum())
+            decomposed = int(np.where(fired > 0, cost, 1).sum())
+            want = CostMeasurement(gates, len(fired), decomposed, gates * cost)
+            assert sign_cost_profile(n, p, alpha, t, m, seed) == want
+
+    def test_profiles_read_only_the_firing_bits(self, monkeypatch):
+        # every stage stream gives one block, its firing bits, and no keys
+        calls = []
+        real = generators.stream
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(generators, "stream", lambda *tags: Recording(real(*tags)))
+        gp = GenParams(n=64, k=24, t=8, alpha=6.0, m=2, seed=1)
+        gate_opt_cost_profile(gp)
+        assert calls == ["integers"] * 2
+        calls.clear()
+        depth_opt_cost_profile(gp)
+        assert calls == ["integers"] * (depth_opt_stage_count(64, 24, 2) + 1)
+        calls.clear()
+        sign_cost_profile(64, 10, 9.0, 32, 6, seed=1)
+        assert calls == ["integers"]
+
+
+# False-alarm rate of each distribution check below on a correct
+# generator: a check fails at one seed in 10^4.
+DRAW_ALPHA = 1e-4
+
+
+def assert_uniform(rows: np.ndarray, cells: int):
+    """Every one of ``cells`` outcomes occurs among the drawn ``rows``, and
+    a chi-square against equal counts does not reject at DRAW_ALPHA.
+    At 30 draws a cell, a cell goes missing with chance below cells/e^30."""
+    assert len(rows) >= 30 * cells
+    _, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(counts) == cells
+    p_value = sps.chisquare(counts).pvalue
+    assert p_value > DRAW_ALPHA, f"chi-square p={p_value:.2e} over {cells} cells"
+
+
+def assert_fair(bits: np.ndarray):
+    """A two-sided binomial test of fair coins at DRAW_ALPHA."""
+    p_value = sps.binomtest(int(bits.sum()), bits.size).pvalue
+    assert p_value > DRAW_ALPHA, f"{bits.mean():.4f} ones over {bits.size} coins (p={p_value:.2e})"
+
+
+class TestStageDraws:
+    """Distributions of the stage blocks at small windows, pooled over
+    rounds (independent key rows) and seeds."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gate_opt_subsets_uniform(self, m):
+        # windows of 5 and 4 sites: every binom(window, m) subset
+        picks = [[], []]
+        for seed in range(200):
+            gp = GenParams(n=9, k=5, t=8, alpha=4.0, m=m, seed=seed)
+            for stage, (_, _, _, sites) in enumerate(_gate_opt_draw(gp)):
+                picks[stage].append(sites)
+        for stage, window in enumerate((5, 4)):
+            rows = np.concatenate(picks[stage])
+            assert np.all(np.diff(rows, axis=1) > 0)
+            assert_uniform(rows, math.comb(window, m))
+
+    @pytest.mark.parametrize("n,k,m", [(6, 4, 2), (10, 8, 1), (9, 6, 3)])
+    def test_depth_opt_groups_uniform(self, n, k, m):
+        # a stage's kept groups, members in draw order, are a uniform
+        # ordered selection from its window: a uniform partition with a
+        # uniform last member per group
+        stages = generators._depth_opt_stages(n, k, m)
+        kept = [[] for _ in stages]
+        for seed in range(100):
+            gp = GenParams(n=n, k=k, t=16, alpha=16.0, m=m, seed=seed)
+            for j, (_, _, _, sites) in enumerate(_depth_opt_draw(gp)):
+                kept[j].append(sites.reshape(gp.rounds, -1))
+        for (x1, x2, _, slots, _), rows in zip(stages, kept):
+            assert_uniform(np.concatenate(rows) - x1, math.perm(x2 - x1 + 1, slots * m))
+
+    @pytest.mark.parametrize("n,p,m", [(4, 2, 2), (6, 2, 3), (6, 3, 2)])
+    def test_sign_groups_uniform(self, n, p, m):
+        # the groups in draw order arrange the whole window, so the
+        # partition and the signed target (each group's last member)
+        # are uniform
+        rows = np.concatenate([
+            sign_program(n, p, 32.0, 16, m, seed).sites.reshape(-1, m * p) for seed in range(150)
+        ])
+        assert_uniform(rows, math.factorial(m * p))
+
+    def test_firing_and_polarity_coins_fair(self):
+        blocks = {"gate-opt mask": [], "gate-opt coins": [], "depth-opt apply": [],
+                  "depth-opt coins": [], "sign apply": [], "sign coins": []}
+        for seed in range(100):
+            gp = GenParams(n=20, k=8, t=4, alpha=4.0, m=2, seed=seed)
+            for _, mask, coins, _ in _gate_opt_draw(gp):
+                blocks["gate-opt mask"].append(mask.ravel())
+                blocks["gate-opt coins"].append(coins.ravel())
+            for _, apply, coins, _ in _depth_opt_draw(gp):
+                blocks["depth-opt apply"].append(apply.ravel())
+                blocks["depth-opt coins"].append(coins.ravel())
+            apply, coins, _ = _sign_draw(20, 6, 16.0, 16, 3, seed)
+            blocks["sign apply"].append(apply.ravel())
+            blocks["sign coins"].append(coins.ravel())
+        for name, bits in blocks.items():
+            bits = np.concatenate(bits)
+            assert set(np.unique(bits)) == {0, 1}, name
+            assert_fair(bits)
+
 
 class TestSignThermalizer:
     def test_unit_layer_when_p_covers_rounds(self):
@@ -487,6 +626,30 @@ class TestSignThermalizer:
             for got, a in zip(rows, (want.masks, want.patterns, want.flips, want.diagonal)):
                 assert np.array_equal(got, a)
 
+    @pytest.mark.parametrize("n,p,alpha,t,m", [(24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1)])
+    def test_export_view_equals_prmc_reference(self, n, p, alpha, t, m):
+        for seed in range(3):
+            got, want = sign_thermalizer(n, p, alpha, t, m, seed), prmc_sign_reference(n, p, alpha, t, m, seed)
+            assert got.layers == want.layers
+            assert dumps_canonical(circuit_to_obj(got)) == dumps_canonical(circuit_to_obj(want))
+
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError):
             sign_thermalizer(n=10, p=4, alpha=1.0, t=1, m=3, seed=0)
+
+
+def prmc_sign_reference(n: int, p: int, alpha: float, t: int, m: int, seed: int) -> Circuit:
+    """Round-by-round ``prmc`` construction of the sign circuit: one stage,
+    the stream ("gen", "sign", 0), on the window [1, m*p]."""
+    rng = stream(seed, "gen", "sign", 0)
+    layers = []
+    for groups, apply_bits in prmc(n, 1, m * p, m, p, rng, ceil_rounds(alpha * t / p)):
+        layers.append(Layer([
+            Gate(SIGNED_MCZ, tuple(sorted(g[:-1], key=lambda c: c.position)), g[-1].position,
+                 target_value=g[-1].required_value)
+            for g, bit in zip(groups, apply_bits)
+            if bit
+        ]))
+    return Circuit(n=n, layers=tuple(layers), generator="sign",
+                   params={"n": n, "p": p, "t": t, "alpha": alpha, "m": m}, seed=seed,
+                   extra={"layer_count": len(layers), "slots_per_layer": p})

@@ -73,16 +73,66 @@ def test_each_generator_stream_is_consumed_in_one_function():
     for call, where in _calls_by_function("stream"):
         args = [a.value if isinstance(a, ast.Constant) else None for a in call.args]
         if "gen" in args[:-1]:
+            # one stream per (generator, stage): the stage is the last tag
+            assert len(args) == args.index("gen") + 3, f"{where}: a gen stream without a stage tag"
             users.setdefault(args[args.index("gen") + 1], set()).add(where)
     assert set(users) == set(GEN_TAGS), f"generator stream tags: {sorted(map(str, users))}"
     for tag, where in users.items():
         assert len(where) == 1, f"stream 'gen', {tag!r} drawn in {sorted(where)}"
 
 
+DRAWS = {"gate_opt": "_gate_opt_draw", "depth_opt": "_depth_opt_draw", "sign": "_sign_draw"}
+GENERATORS = Path(__file__).resolve().parents[1] / "src" / "subsetphase" / "generators.py"
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_depths(fn: ast.FunctionDef) -> list[tuple[ast.AST, int]]:
+    """Every node of ``fn`` with the number of loops around it in ``fn``."""
+    out = []
+
+    def walk(node, depth):
+        out.append((node, depth))
+        for child in ast.iter_child_nodes(node):
+            walk(child, depth + isinstance(node, LOOPS))
+
+    walk(fn, 0)
+    return out
+
+
+def test_generators_draw_stage_blocks_not_rounds():
+    # a stage stream is read in whole blocks: every Generator call sits in
+    # the loop that opens the stage's stream, never in a loop inside it
+    tree = ast.parse(GENERATORS.read_text(), filename=str(GENERATORS))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert not {fn.name for fn in functions} & {"_rmc_draw", "_prmc_draw"}, "a per-round sampler is back"
+    calls = []
+    for fn in functions:
+        depths = _loop_depths(fn)
+        streams = {
+            target.id: depth
+            for node, depth in depths
+            if isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "id", None) == "stream"
+            for target in node.targets
+        }
+        calls += [
+            (fn.name, node.lineno, depth - streams[node.func.value.id])
+            for node, depth in depths
+            if isinstance(node, ast.Call) and getattr(getattr(node.func, "value", None), "id", None) in streams
+        ]
+    assert {name for name, _, _ in calls} == set(DRAWS.values())
+    assert [(name, line) for name, line, inner in calls if inner] == [], "Generator calls in a per-round loop"
+
+
 def test_depth_opt_rounds_readers():
-    # the program and the lazy cost profile; the Circuit is a program view
-    readers = sorted(where for _, where in _calls_by_function("_depth_opt_rounds"))
-    assert readers == ["generators.depth_opt_cost_profile", "generators.depth_opt_program"]
+    # each generator's one draw function has two readers, its program and
+    # its cost profile, and the profile asks for the firing bits only
+    for generator, draw in DRAWS.items():
+        calls = _calls_by_function(draw)
+        readers = sorted(where for _, where in calls)
+        assert readers == [f"generators.{generator}_cost_profile", f"generators.{generator}_program"], readers
+        for call, where in calls:
+            firing_only = [k.value.value for k in call.keywords if k.arg == "firing_only"]
+            assert firing_only == ([True] if where.endswith("_cost_profile") else []), where
 
 
 KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
