@@ -6,11 +6,12 @@ import math
 from itertools import permutations
 
 import numpy as np
+import pytest
 
-from subsetphase import subsetstate
+from subsetphase import cli, generators, subsetstate
 from subsetphase.circuit import ControlTerm
-from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
-from subsetphase.rng import derive_seed
+from subsetphase.generators import GenParams, _depth_opt_stages, ceil_rounds, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.rng import derive_seed, stream
 from subsetphase.subsetstate import to_statevector
 
 
@@ -88,6 +89,76 @@ def prmc(
         ]
         out.append((groups, apply_bits))
     return out
+
+
+# The first generator stream layout: one stream per generator, drawn round
+# by round.  A shared-condition round reads permutation(window)[:m] (its
+# controls) and then one coin vector of m polarities and the n - window
+# target mask; a parallel round reads permutation(window)[:m*p] (its
+# groups of m in draw order) and then m*p polarities and p apply bits.
+FIRST_LAYOUT_RNG_KIND = "philox4x64/sha256-derived-streams"
+
+
+def first_layout_gate_opt_draw(gp: GenParams, firing_only: bool = False):
+    """``generators._gate_opt_draw``'s stage tuples, read from the first
+    layout's one gate-opt stream."""
+    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
+    rng = stream(gp.seed, "gen", "gate-opt")
+    for x1, window, target_first in ((1, k, k + 1), (k + 1, n - k, 1)):
+        picks, coins = [], []
+        for _ in range(rounds):
+            picks.append(rng.permutation(window)[:m])
+            coins.append(rng.integers(0, 2, size=m + n - window, dtype=np.uint8))
+        picks, coins = np.array(picks), np.array(coins)
+        if firing_only:
+            yield target_first, coins[:, m:], None, None
+        else:
+            yield target_first, coins[:, m:], coins[:, :m], x1 + np.sort(picks, axis=1)
+
+
+def _first_layout_parallel_stage(rng, rounds: int, window: int, m: int, p: int, slots: int):
+    """(apply, coins, 0-based sites) of a parallel stage's first ``slots``
+    groups, read round by round."""
+    offsets, coins = [], []
+    for _ in range(rounds):
+        offsets.append(rng.permutation(window)[: m * p])
+        coins.append(rng.integers(0, 2, size=m * p + p, dtype=np.uint8))
+    offsets, coins = np.array(offsets), np.array(coins)
+    shape = (rounds, p, m)
+    return (
+        coins[:, m * p : m * p + slots],
+        coins[:, : m * p].reshape(shape)[:, :slots],
+        offsets.reshape(shape)[:, :slots],
+    )
+
+
+def first_layout_depth_opt_draw(gp: GenParams, firing_only: bool = False):
+    """``generators._depth_opt_draw``'s stage tuples, read from the first
+    layout's one depth-opt stream."""
+    rng = stream(gp.seed, "gen", "depth-opt")
+    for stage in _depth_opt_stages(gp.n, gp.k, gp.m):
+        x1, x2, p, slots, _ = stage
+        apply, coins, offsets = _first_layout_parallel_stage(rng, gp.rounds, x2 - x1 + 1, gp.m, p, slots)
+        yield (stage, apply, None, None) if firing_only else (stage, apply, coins, x1 + offsets)
+
+
+def first_layout_sign_draw(n, p, alpha, t, m, seed, firing_only=False):
+    """``generators._sign_draw``'s blocks, read from the first layout's
+    sign stream."""
+    rng = stream(seed, "gen", "sign")
+    apply, coins, offsets = _first_layout_parallel_stage(rng, ceil_rounds(alpha * t / p), m * p, m, p, p)
+    return (apply, None, None) if firing_only else (apply, coins, 1 + offsets)
+
+
+@pytest.fixture
+def first_layout(monkeypatch):
+    """Put the first stream layout back in place of the generators' draw
+    functions, and its ``RNG_KIND`` in place of the reports' one.
+    Everything downstream of the draws runs as it is."""
+    monkeypatch.setattr(generators, "_gate_opt_draw", first_layout_gate_opt_draw)
+    monkeypatch.setattr(generators, "_depth_opt_draw", first_layout_depth_opt_draw)
+    monkeypatch.setattr(generators, "_sign_draw", first_layout_sign_draw)
+    monkeypatch.setattr(cli, "RNG_KIND", FIRST_LAYOUT_RNG_KIND)
 
 
 def span_rank(rows: list[int]) -> int:

@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from subsetphase import cli
 
 
 def run_cli(*args, cwd=None):
@@ -414,117 +417,177 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Fixed-seed artifacts as (command, digest under the first stream layout,
+# digest now).  The ``bounds`` and ``rank-mc`` CSVs read no generator
+# stream and embed no ``RNG_KIND``, so their two digests agree.
+_BITS = ["verify", "--suite", "bits", "--n", "20", "--k", "8", "--t", "4", "--alpha", "4",
+         "--m", "2", "--trials", "1000", "--seed", "11"]
+BITS_REPORTS = [
+    (_BITS + ["--algorithm", "gate-opt"],
+     "38d4b52fa85d3a0a95b001d89bf1b7766a32a14eedadbc7446c275dff4860b4c",
+     "a157a531dd5c214c77b445a0a23715cc6bbebe738cd1d2e700d42d52c52524aa"),
+    (_BITS + ["--algorithm", "depth-opt"],
+     "150655447b5224d0bb54e5b8d2b35bbcfe6d42928d4a62a93d150cd96bcf1d64",
+     "6177f08c7e6370aeb230c5dc3c199c5c43919b3ad5258a339f2ba59d3760ec6c"),
+    # two words per copy
+    (["verify", "--suite", "bits", "--algorithm", "gate-opt", "--n", "70", "--k", "10",
+      "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
+     "864ca675fd37bfb88cf81ad5712941935e5d02b850db1928d4920ddad7216be6",
+     "f3c6ecf22f11895d32d24ba06ee3b39f20638f889b126ff1bc2c87d4a46c8843"),
+    (["verify", "--suite", "bits", "--algorithm", "depth-opt", "--n", "70", "--k", "10",
+      "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
+     "62943a1ad7bb4f3676be7b1cd0010a63cc822063e4d62906046df00506a2a6ef",
+     "810bf015871af612f4969e2bba81088be81a2d311e499341d9aea3cdbf9aef4d"),
+]
+# the output path is the last argument
+WRITTEN_FILES = [
+    (["gen", "--algorithm", "gate-opt", "--n", "40", "--k", "12", "--t", "4",
+      "--alpha", "3", "--m", "2", "--seed", "5", "--out"],
+     "4231e2eb370c8560ad196a9ce83b70c7b57166325e057ecb5a68e431568ef1b6",
+     "7a2d870a5e2533cf62941f9e1b361cf4a7e77f34e2d36b1dd0aafc147ededb51"),
+    (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "gate-opt",
+      "--seed", "3", "--out"],
+     "9b00c7b5411a440d7736229d46066b3d576088a07b368abb84a38c5ecea5c4aa",
+     "622ca914975c5a80231c1f35cfae8da23e02125950c697fa1a704ad8b228c417"),
+    (["bounds", "--p", "0.25", "--l", "4,6", "--m", "24", "--epsilon", "0.5",
+      "--trials", "300", "--seed", "1", "--out"],
+     "69dd319bc68ec03061c363dc942f5a54c0cf83e74222759a221e38926df2d56c",
+     "69dd319bc68ec03061c363dc942f5a54c0cf83e74222759a221e38926df2d56c"),
+    (["rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
+      "--seed", "4", "--format", "csv", "--out"],
+     "aae18663d62b5914e4fbbb40d418daba28d0a4488502f0708e418b3491bf6795",
+     "aae18663d62b5914e4fbbb40d418daba28d0a4488502f0708e418b3491bf6795"),
+    (["gen", "--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
+      "--alpha", "3", "--seed", "5", "--out"],
+     "f7a5d893e1a0fdab86333d9b32a0848fecf2359158e76a69c5397976866c84c3",
+     "d5b7f11d217ec0547e9ee992ef3f603963c7b22f8f2cd42c1881973091135d30"),
+    (["verify", "--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4", "--m", "2",
+      "--p", "4", "--trials", "10000", "--seed", "6", "--report"],
+     "b4ea005f1bb8cfae79de315942347e01d77d5abb7d37cb533877fec27ed7d828",
+     "a5ef7f48eb3d611c31c231a9ff3c0beda92d2371d276d1d1b8b5601b927d94ca"),
+    # two words per copy, and sites past 64 in the sign window
+    (["verify", "--suite", "signs", "--n", "70", "--t", "4", "--alpha", "8", "--m", "3",
+      "--p", "8", "--trials", "10000", "--seed", "12", "--report"],
+     "8bd4d6283846cf423a3ee07d4aa28e32135f5a572f97ee89b9766003dd04a4f8",
+     "42c5b34766d325fe33394dbd69862ee38144bf02e8c65dab9dc9d25b944e0156"),
+    (["moments", "--n", "4", "--k", "2", "--t", "1", "--samples", "200", "--alpha", "8.0",
+      "--m", "2", "--alpha-sign", "8.0", "--m-sign", "2", "--p-sign", "2", "--seed", "3",
+      "--report"],
+     "527e67abb216b5d46f6d451af33b22fef60d4737af8aebe899a3a171dc76026d",
+     "844c37eb74a7f7e3ab34bdb70cac41fe707bcb38258a75f664fb7d0237f66b55"),
+    (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "depth-opt",
+      "--seed", "3", "--out"],
+     "af72e8f201fa7df2dca0599d2beb718bad487138f4c3ced549d1a28af7dcc5bd",
+     "e5132ec2e008cce472e4cd4ca5f94aaa2b0b7c7810f02c52985a5cd81cc11d2c"),
+    (["scaling", "--grid", "n=64,128;t=4,8", "--algorithm", "sign", "--seed", "3", "--out"],
+     "a64d82d5e949927d51c2b790b9f49ffdbd200695e5f709d0ea53491d2a9265fa",
+     "feb4046505cdce615a70830cc7db97047b7f4fdf7e5f1f43c79052e8f1861902"),
+    # N < d_sym: the distances read their floor, and the bytes carry the
+    # samples only through eigensolver roundoff
+    (["moments", "--n", "6", "--k", "4", "--t", "2", "--samples", "200", "--seed", "5",
+      "--report"],
+     "e49f43abf0de4001136a83a2cd69008d4f954f0affe8f25adb5fe0fe42336924",
+     "ed021bad666c96e2c40610da3a31bd1f99ee1750b178e2f921208cf63331f65c"),
+    (["moments", "--n", "6", "--k", "4", "--t", "3", "--samples", "200", "--seed", "5",
+      "--report"],
+     "f1738a747155488fececc8c1772c97face23a40bdb33348d3bd5ff5e88122832",
+     "9785a47a0d33c84296f6c4b652f44c49850c6152b5dc09d24b1cd05623fc65f3"),
+    # N > d_sym = 136: the accumulated moment
+    (["moments", "--n", "4", "--k", "2", "--t", "2", "--samples", "200", "--m-sign", "2",
+      "--seed", "5", "--report"],
+     "556742f6857291c6e0fc9b9ffb364e93a6d0cf55c1a3cdef061984cb11b0a2f2",
+     "5841f17e6e31b309f3b6c6946278d365296348dc1e1f0cbe5d3aee5c9c81ddc5"),
+    # three words per copy
+    (["gen", "--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
+      "--m", "2", "--seed", "7", "--out"],
+     "6747962e12b5c354dde8a87f673ce1dc5fb97af5996c181b40afbbdcc9d78ee6",
+     "cab9598a66bebde1a31089bdac8b25acdb3e3b44c26fd0f6d37bb1e9399e8653"),
+]
+# (circuit file name, gen arguments, sim arguments, digests)
+SIM_REPORTS = [
+    # three words per copy
+    ("dopt.json", ["--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
+      "--m", "2", "--seed", "7"],
+     ["--trials", "10", "--seed", "8"],
+     "b2d0f8f71cc73af02336677ad5c1387da73d8694b9f95bfdcb4c85babe1d1443",
+     "1934f987bd46e2d92686f817e81aab5c2dc728f7f2e3bbd789038266b1c049e0"),
+    ("gopt.json", ["--algorithm", "gate-opt", "--n", "70", "--k", "10", "--t", "4", "--alpha", "2",
+      "--m", "3", "--seed", "9"],
+     ["--trials", "10", "--seed", "10", "--diagnostics", "rank"],
+     "eb71226a4c0722fd780627e890c4e297e13aac268aa877a2ca976e838ccff0f4",
+     "3a99643b92cf5a9c18400c4da47b425ca6681259a5b5a602bc31f4478eb40945"),
+    ("sign.json", ["--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
+      "--alpha", "3", "--seed", "5"],
+     ["--trials", "10", "--seed", "11"],
+     "7dfa48c9b83a69111c054f7b4e1c60801c80b27d1f0b64130a9a4c5f166d79d3",
+     "282386d1770b9e4e51466a515e45ec45a97e4f8cce8a3bf3f0b2f8f414ba364d"),
+]
+
+
+def first_layout_cases(table):
+    return [case[:-1] for case in table]
+
+
+def current_cases(table):
+    return [case[:-2] + case[-1:] for case in table]
+
+
+def run_cli_in_process(*args):
+    # in this process, so that the ``first_layout`` fixture's draws are
+    # the ones the command runs
+    res = CliRunner().invoke(cli.cli, list(args))
+    assert res.exit_code == 0, (res.output, res.exception)
+
+
 class TestPinnedBytes:
-    """Fixed-seed artifacts pinned by SHA-256.  The digests were
-    re-recorded when every generator stage got its own stream, read in
-    three whole blocks (``RNG_KIND`` ending in ``gen-stage-blocks-v2``).
-    The ``bounds`` and ``rank-mc`` CSVs read no generator stream and embed
-    no ``RNG_KIND``, so they kept theirs.  A change here means the random
-    streams or the report layout moved."""
+    """Fixed-seed artifacts pinned by SHA-256.
 
-    BITS = ["verify", "--suite", "bits", "--n", "20", "--k", "8", "--t", "4", "--alpha", "4",
-            "--m", "2", "--trials", "1000", "--seed", "11"]
+    The ``*_v2`` tests pin the current bytes, re-recorded when every
+    generator stage got its own stream, read in three whole blocks
+    (``RNG_KIND`` ending in ``gen-stage-blocks-v2``).  The others run the
+    command in-process with the first stream layout put back in place of
+    the draw functions (the ``first_layout`` fixture) and pin the bytes
+    recorded under that layout: everything downstream of the draws (the
+    programs, kernels, batteries and writers) must still reproduce them.
+    A change here means the random streams or the report layout moved."""
 
-    @pytest.mark.parametrize(
-        "args,digest",
-        [
-            (BITS + ["--algorithm", "gate-opt"],
-             "a157a531dd5c214c77b445a0a23715cc6bbebe738cd1d2e700d42d52c52524aa"),
-            (BITS + ["--algorithm", "depth-opt"],
-             "6177f08c7e6370aeb230c5dc3c199c5c43919b3ad5258a339f2ba59d3760ec6c"),
-            # two words per copy
-            (["verify", "--suite", "bits", "--algorithm", "gate-opt", "--n", "70", "--k", "10",
-              "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
-             "f3c6ecf22f11895d32d24ba06ee3b39f20638f889b126ff1bc2c87d4a46c8843"),
-            (["verify", "--suite", "bits", "--algorithm", "depth-opt", "--n", "70", "--k", "10",
-              "--t", "4", "--alpha", "2", "--m", "3", "--trials", "1000", "--seed", "13"],
-             "810bf015871af612f4969e2bba81088be81a2d311e499341d9aea3cdbf9aef4d"),
-        ],
-    )
-    def test_verify_bits_report(self, tmp_path, args, digest):
+    @pytest.mark.parametrize("args,digest", first_layout_cases(BITS_REPORTS))
+    def test_verify_bits_report(self, tmp_path, first_layout, args, digest):
+        rep = tmp_path / "v.json"
+        run_cli_in_process(*args, "--report", str(rep))
+        assert sha256(rep) == digest
+
+    @pytest.mark.parametrize("args,digest", current_cases(BITS_REPORTS))
+    def test_verify_bits_report_v2(self, tmp_path, args, digest):
         rep = tmp_path / "v.json"
         res = run_cli(*args, "--report", str(rep))
         assert res.returncode == 0, res.stderr
         assert sha256(rep) == digest
 
-    @pytest.mark.parametrize(
-        "args,digest",
-        [
-            (["gen", "--algorithm", "gate-opt", "--n", "40", "--k", "12", "--t", "4",
-              "--alpha", "3", "--m", "2", "--seed", "5", "--out"],
-             "7a2d870a5e2533cf62941f9e1b361cf4a7e77f34e2d36b1dd0aafc147ededb51"),
-            (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "gate-opt",
-              "--seed", "3", "--out"],
-             "622ca914975c5a80231c1f35cfae8da23e02125950c697fa1a704ad8b228c417"),
-            (["bounds", "--p", "0.25", "--l", "4,6", "--m", "24", "--epsilon", "0.5",
-              "--trials", "300", "--seed", "1", "--out"],
-             "69dd319bc68ec03061c363dc942f5a54c0cf83e74222759a221e38926df2d56c"),
-            (["rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
-              "--seed", "4", "--format", "csv", "--out"],
-             "aae18663d62b5914e4fbbb40d418daba28d0a4488502f0708e418b3491bf6795"),
-            (["gen", "--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
-              "--alpha", "3", "--seed", "5", "--out"],
-             "d5b7f11d217ec0547e9ee992ef3f603963c7b22f8f2cd42c1881973091135d30"),
-            (["verify", "--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4", "--m", "2",
-              "--p", "4", "--trials", "10000", "--seed", "6", "--report"],
-             "a5ef7f48eb3d611c31c231a9ff3c0beda92d2371d276d1d1b8b5601b927d94ca"),
-            # two words per copy, and sites past 64 in the sign window
-            (["verify", "--suite", "signs", "--n", "70", "--t", "4", "--alpha", "8", "--m", "3",
-              "--p", "8", "--trials", "10000", "--seed", "12", "--report"],
-             "42c5b34766d325fe33394dbd69862ee38144bf02e8c65dab9dc9d25b944e0156"),
-            (["moments", "--n", "4", "--k", "2", "--t", "1", "--samples", "200", "--alpha", "8.0",
-              "--m", "2", "--alpha-sign", "8.0", "--m-sign", "2", "--p-sign", "2", "--seed", "3",
-              "--report"],
-             "844c37eb74a7f7e3ab34bdb70cac41fe707bcb38258a75f664fb7d0237f66b55"),
-            (["scaling", "--grid", "n=64,128;t=4,8;k=16", "--algorithm", "depth-opt",
-              "--seed", "3", "--out"],
-             "e5132ec2e008cce472e4cd4ca5f94aaa2b0b7c7810f02c52985a5cd81cc11d2c"),
-            (["scaling", "--grid", "n=64,128;t=4,8", "--algorithm", "sign", "--seed", "3", "--out"],
-             "feb4046505cdce615a70830cc7db97047b7f4fdf7e5f1f43c79052e8f1861902"),
-            # N < d_sym: the distances read their floor, and the bytes carry the
-            # samples only through eigensolver roundoff
-            (["moments", "--n", "6", "--k", "4", "--t", "2", "--samples", "200", "--seed", "5",
-              "--report"],
-             "ed021bad666c96e2c40610da3a31bd1f99ee1750b178e2f921208cf63331f65c"),
-            (["moments", "--n", "6", "--k", "4", "--t", "3", "--samples", "200", "--seed", "5",
-              "--report"],
-             "9785a47a0d33c84296f6c4b652f44c49850c6152b5dc09d24b1cd05623fc65f3"),
-            # N > d_sym = 136: the accumulated moment
-            (["moments", "--n", "4", "--k", "2", "--t", "2", "--samples", "200", "--m-sign", "2",
-              "--seed", "5", "--report"],
-             "5841f17e6e31b309f3b6c6946278d365296348dc1e1f0cbe5d3aee5c9c81ddc5"),
-            # three words per copy
-            (["gen", "--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
-              "--m", "2", "--seed", "7", "--out"],
-             "cab9598a66bebde1a31089bdac8b25acdb3e3b44c26fd0f6d37bb1e9399e8653"),
-        ],
-    )
-    def test_written_file(self, tmp_path, args, digest):
+    @pytest.mark.parametrize("args,digest", first_layout_cases(WRITTEN_FILES))
+    def test_written_file(self, tmp_path, first_layout, args, digest):
+        out = tmp_path / "out"
+        run_cli_in_process(*args, str(out))
+        assert sha256(out) == digest
+
+    @pytest.mark.parametrize("args,digest", current_cases(WRITTEN_FILES))
+    def test_written_file_v2(self, tmp_path, args, digest):
         out = tmp_path / "out"
         res = run_cli(*args, str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
 
-    @pytest.mark.parametrize(
-        "name,gen_args,sim_args,digest",
-        [
-            # three words per copy
-            ("dopt.json", ["--algorithm", "depth-opt", "--n", "128", "--k", "24", "--t", "4", "--alpha", "2",
-              "--m", "2", "--seed", "7"],
-             ["--trials", "10", "--seed", "8"],
-             "1934f987bd46e2d92686f817e81aab5c2dc728f7f2e3bbd789038266b1c049e0"),
-            ("gopt.json", ["--algorithm", "gate-opt", "--n", "70", "--k", "10", "--t", "4", "--alpha", "2",
-              "--m", "3", "--seed", "9"],
-             ["--trials", "10", "--seed", "10", "--diagnostics", "rank"],
-             "3a99643b92cf5a9c18400c4da47b425ca6681259a5b5a602bc31f4478eb40945"),
-            ("sign.json", ["--algorithm", "sign", "--n", "24", "--p", "4", "--m", "3", "--t", "4",
-              "--alpha", "3", "--seed", "5"],
-             ["--trials", "10", "--seed", "11"],
-             "282386d1770b9e4e51466a515e45ec45a97e4f8cce8a3bf3f0b2f8f414ba364d"),
-        ],
-    )
-    def test_sim_report(self, tmp_path, name, gen_args, sim_args, digest):
+    @pytest.mark.parametrize("name,gen_args,sim_args,digest", first_layout_cases(SIM_REPORTS))
+    def test_sim_report(self, tmp_path, first_layout, name, gen_args, sim_args, digest):
         # the report names the circuit file
+        circuit = tmp_path / name
+        run_cli_in_process("gen", *gen_args, "--out", str(circuit))
+        rep = tmp_path / "r.json"
+        run_cli_in_process("sim", "--circuit", str(circuit), *sim_args, "--report", str(rep))
+        assert sha256(rep) == digest
+
+    @pytest.mark.parametrize("name,gen_args,sim_args,digest", current_cases(SIM_REPORTS))
+    def test_sim_report_v2(self, tmp_path, name, gen_args, sim_args, digest):
         circuit = tmp_path / name
         assert run_cli("gen", *gen_args, "--out", str(circuit)).returncode == 0
         rep = tmp_path / "r.json"
