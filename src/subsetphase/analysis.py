@@ -2,20 +2,20 @@
 
 The success bounds below give lower bounds on the probability that the
 copies-by-rounds condition matrix reaches full rank, which is the event
-that makes a thermalizer run succeed.  The cost predictor turns each
-generator's construction into expected gate counts and exact layer
-counts, using the fixed decomposition constant (2m-3 CCX per m-site
-condition) from the circuit module.
+that makes a thermalizer run succeed.  The cost predictor reads each
+generator's stage table (``generators.stage_table``, the same table its
+draws and cost profiles read) and turns it into expected gate counts and
+exact layer counts with one formula, using the fixed decomposition
+constant (2m-3 CCX per m-site condition) from the circuit module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circuit import ccx_ladder_count
 from .f2linalg import RankBoundParams, full_rank_probability_bound
-from .generators import _depth_opt_stages, ceil_rounds
+from .generators import CostMeasurement, stage_table
 
 CCX_REGIME = "gate-opt-ccx"
 MCX_REGIME = "gate-opt-mcx"
@@ -75,55 +75,27 @@ def success_bound_mcx(alpha: float, t: int, epsilon: float = 0.5) -> float:
     return math.exp(-(lead + math.exp(log_tail)))
 
 
-@dataclass(frozen=True)
-class PredictedCost:
-    """Construction-level cost prediction for one generator run.
+def predicted_cost(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p: int | None = None) -> CostMeasurement:
+    """Expected costs of one run of a generator, over its fair firing bits.
 
-    ``gates`` and ``decomposed_depth`` are expectations over the fair
-    mask/apply coins; ``unit_depth`` is exact for every seed because the
-    generators keep one layer per scheduling slot.  ``ccx_count`` is the
-    expected CCX-equivalent total.
+    A layer of width w (firing bits) holds a gate with probability
+    1 - 2^-w and then takes the ladder depth of its m-site condition;
+    otherwise it is a unit idle step.  Every stage of a run has the same
+    round count, so the decomposed depth is rounds times the sum of that
+    expectation over one round's layers of every stage.  ``unit_depth``
+    is exact for every seed, since the generators keep one layer per
+    scheduling slot.  ``p`` is only consulted for the sign thermalizer
+    (parallel slots per layer).  Out-of-regime parameters are not
+    rejected here, except depth-opt shapes that have no stage table; use
+    ``premise_check`` to vet them.
     """
-
-    gates: float
-    unit_depth: int
-    decomposed_depth: float
-    ccx_count: float
-
-
-def predicted_cost(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p: int | None = None) -> PredictedCost:
-    """Predict (gates, unit depth, decomposed depth) for a generator.
-
-    ``p`` is only consulted for the sign thermalizer (parallel slots per
-    layer).  Out-of-regime parameters are not rejected here, except
-    depth-opt shapes that have no stage table; use ``premise_check`` to
-    vet them.
-    """
-    rounds = ceil_rounds(alpha * t)
-    if algorithm == "gate-opt":
-        cost = ccx_ladder_count(m)
-        slots = rounds * n
-        gates = slots / 2.0
-        decomposed = slots * (1.0 + cost) / 2.0  # empty slot costs 1, filled costs `cost`
-        return PredictedCost(gates, slots, decomposed, gates * cost)
-    if algorithm == "depth-opt":
-        cost = ccx_ladder_count(m)
-        stage_slots = [slots for _, _, _, slots, _ in _depth_opt_stages(n, k, m)]
-        gates = rounds * sum(stage_slots) / 2.0
-        decomposed = rounds * sum(
-            cost * (1.0 - 0.5**g) + 1.0 * 0.5**g for g in stage_slots
-        )
-        unit = len(stage_slots) * rounds
-        return PredictedCost(gates, unit, decomposed, gates * cost)
-    if algorithm == "sign":
-        if p is None:
-            raise ValueError("sign cost prediction needs p (parallel slots per layer)")
-        layers = ceil_rounds(alpha * t / p)
-        cost = ccx_ladder_count(m)  # m-site condition: m-1 controls + signed target
-        gates = layers * p / 2.0
-        decomposed = layers * (cost * (1.0 - 0.5**p) + 1.0 * 0.5**p)
-        return PredictedCost(gates, layers, decomposed, gates * cost)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    table = stage_table(algorithm, n, k, t, alpha, m, p)
+    cost = ccx_ladder_count(m)
+    rounds = table[0].rounds
+    layers = [(row.firing // row.width, 0.5**row.width) for row in table]
+    gates = rounds * sum(row.firing for row in table) / 2.0
+    decomposed = rounds * sum(count * (cost * (1.0 - idle) + idle) for count, idle in layers)
+    return CostMeasurement(gates, rounds * sum(count for count, _ in layers), decomposed, gates * cost)
 
 
 def premise_check(
@@ -148,7 +120,8 @@ def premise_check(
         raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
     v: list[str] = []
     ln_n = math.log(n) if n > 1 else 1.0
-    rounds = ceil_rounds(alpha * t)
+    # the condition rounds of one bit-thermalizer stage, ceil(alpha*t)
+    rounds = stage_table("gate-opt", n, k or 0, t, alpha, m)[0].rounds
 
     def need(cond: bool, msg: str):
         if not cond:

@@ -285,13 +285,17 @@ def circuit_from_obj(obj: dict) -> Circuit:
             except (TypeError, ValueError) as e:
                 raise ValueError(f"layer {li} gate {gi}: {e}") from None
         layers.append(Layer(gates, check=False))
+    params, extra = obj.get("params", {}), obj.get("metadata", {})
+    for key, value in (("params", params), ("metadata", extra)):
+        if not isinstance(value, dict):
+            raise ValueError(f"circuit {key} must be a JSON object")
     return Circuit(
         n=n,
         layers=tuple(layers),
         generator=obj.get("generator", "unknown"),
-        params=obj.get("params", {}),
+        params=params,
         seed=int(obj.get("seed", 0)),
-        extra=obj.get("metadata", {}),
+        extra=extra,
     )
 
 

@@ -419,6 +419,8 @@ def scaling(grid_spec, algorithm, seed, out):
         raise click.BadParameter(f"unknown grid name(s): {', '.join(unknown)}")
     if "p" in grid and algorithm != "sign":
         raise click.BadParameter(f"grid name p applies to --algorithm sign only, not {algorithm}")
+    if "k" in grid and algorithm == "sign":
+        raise click.BadParameter("grid name k applies to --algorithm gate-opt and depth-opt only, not sign")
     if len(grid.get("p", ["auto"])) != 1:
         raise click.BadParameter(f"grid takes one p value, got p={','.join(grid['p'])}")
     rows = []

@@ -241,8 +241,9 @@ def pack_sites(sites, W: int) -> np.ndarray:
     """Pack 1-based sites along the last axis into W uint64 words per
     group, laid out like copies: (..., k) to (..., W).  Site 0 sets no
     bit, so groups of unequal size pad with it."""
-    word, bit = np.divmod(np.asarray(sites, dtype=np.int64) - 1, 64)
-    bits = _BITS[bit]
+    offsets = np.asarray(sites, dtype=np.int64) - 1
+    word = offsets >> 6
+    bits = _BITS[offsets & 63]
     out = np.empty(word.shape[:-1] + (W,), dtype=np.uint64)
     for w in range(W):
         # padding has word -1, which matches no word
@@ -411,9 +412,16 @@ def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm
     rounds = c.extra.get("rounds")
     if rounds is None:
         raise ValueError("circuit metadata carries no recorded rounds")
+    if not isinstance(rounds, list):
+        raise ValueError("circuit metadata rounds must be a list")
     probes = []
-    for r in rounds:
-        if r["stage"] == stage:
-            terms = [ControlTerm(int(pos), int(val)) for pos, val in r["controls"]]
-            probes.append((int(r["layer"]), terms))
+    for i, r in enumerate(rounds):
+        try:
+            if r["stage"] == stage:
+                terms = [ControlTerm(int(pos), int(val)) for pos, val in r["controls"]]
+                probes.append((int(r["layer"]), terms))
+        except KeyError as e:
+            raise ValueError(f"metadata round {i}: missing key {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"metadata round {i}: {e}") from None
     return probes

@@ -1,8 +1,8 @@
 """Random multi-controlled circuit generators.
 
 Three constructions, all pure functions of (parameters, seed), each as
-an array program that is the only consumer of its random stream and as
-a ``Circuit`` that is an export view of that program:
+an array program and as a ``Circuit`` that is an export view of that
+program:
 
 * ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
   thermalizer that keeps the total gate count low, as packed round
@@ -13,14 +13,18 @@ a ``Circuit`` that is an export view of that program:
 * ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
   that randomize the sign bits, as slot arrays.
 
-Each generator reads its random stream in one draw function, one stage
-at a time.  Stage j reads its own stream ("gen", <algorithm>, j) as
-three blocks covering all of the stage's rounds: the firing bits (the
-target mask, or the apply bits), the polarity coins, then a float64 key
-matrix of shape (rounds, window).  The smallest m keys of a row pick a
-uniform m-subset of the window; the keys in ascending order give a
-uniform arrangement whose consecutive chunks of m are disjoint groups.
-Because the firing bits come first, the cost profiles read only them.
+Each generator's layout is one stage table (``stage_table``): per stage,
+its rounds, its condition window, its firing bits per round, the groups
+it keeps and the width of its layers.  One reader, ``_draw_stages``,
+consumes every generator stream from that table.  Stage j reads its own
+stream ("gen", <algorithm>, j) as three blocks covering all of the
+stage's rounds: the firing bits (the target mask, or the apply bits),
+the polarity coins, then a float64 key matrix of shape (rounds, window).
+The window sites in ascending key order are a uniform arrangement whose
+consecutive chunks of m are disjoint groups; a gate-opt round keeps one.
+Because the firing bits come first, the cost profiles read only them,
+and ``analysis.predicted_cost`` reads the same table for its
+expectations.
 
 Generation is fully decoupled from simulation: the drivers run the
 programs, ``gen`` writes the ``Circuit`` views (plus round/stage
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +91,94 @@ def _sorted_controls(terms: list[ControlTerm]) -> tuple[ControlTerm, ...]:
     return tuple(sorted(terms, key=lambda c: c.position))
 
 
+class Stage(NamedTuple):
+    """One row of a generator's stage table.
+
+    The stage reads the stream ("gen", <algorithm>, ``stage``) for
+    ``rounds`` rounds.  A round conditions on ``groups`` disjoint m-site
+    groups of the ``window`` sites from site ``first`` on, and has
+    ``firing`` firing bits, ``width`` of them to a layer: 1 for gate-opt's
+    one-target layers, the slot count otherwise.
+    """
+
+    stage: int
+    rounds: int
+    first: int
+    window: int
+    firing: int
+    groups: int
+    width: int
+
+    @property
+    def first_target(self) -> int:
+        """First target site of a bit stage: the site after a window that
+        starts at site 1, else site 1 (the window then ends at n)."""
+        return self.first + self.window if self.first == 1 else 1
+
+
+def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p: int | None = None) -> list[Stage]:
+    """The stage table of one run of ``algorithm``.
+
+    gate-opt: stage 0 conditions on one m-subset of [1, k] and fires on
+    the targets [k+1, n], one layer each; stage 1 mirrors it.  depth-opt:
+    growth stage at control size s partitions [1, s] into floor(s/m)
+    groups, of which the first min(floor(s/m), n-s) fire on s+1, s+2, ...;
+    the closing stage draws its groups from [k+1, n] and fires on 1 ..
+    min(floor((n-k)/m), k).  sign: one stage of ceil(alpha*t/p) layers of
+    p groups on [1, m*p]; only sign reads ``p`` and only the bit
+    thermalizers read ``k``.  Only depth-opt shapes without a stage table
+    are rejected; the draws check the rest.
+    """
+    if algorithm == "gate-opt":
+        rounds = ceil_rounds(alpha * t)
+        return [Stage(0, rounds, 1, k, n - k, 1, 1), Stage(1, rounds, k + 1, n - k, k, 1, 1)]
+    if algorithm == "depth-opt":
+        if m > k:
+            raise ValueError("depth-opt requires m <= k")
+        if n <= k:
+            raise ValueError("depth-opt requires k < n")
+        if (n - k) // m < 1:
+            raise ValueError("closing phase needs at least one group: n-k >= m")
+        rounds = ceil_rounds(alpha * t)
+        table = []
+        s = k
+        while s < n:
+            slots = min(s // m, n - s)
+            table.append(Stage(len(table), rounds, 1, s, slots, slots, slots))
+            s += s // m
+        slots = min((n - k) // m, k)
+        return table + [Stage(len(table), rounds, k + 1, n - k, slots, slots, slots)]
+    if algorithm == "sign":
+        if p is None:
+            raise ValueError("the sign thermalizer needs p (parallel slots per layer)")
+        return [Stage(0, ceil_rounds(alpha * t / p), 1, m * p, p, p, p)]
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def _draw_stages(algorithm: str, table: list[Stage], m: int, seed: int, firing_only: bool = False):
+    """Read the stream of every stage of ``table``, in order.
+
+    Stage j reads ("gen", ``algorithm``, j) in three blocks: the (rounds,
+    firing) uint8 firing bits, the (rounds, groups, m) polarity coins,
+    then a (rounds, window) float64 key matrix.  Yields ``(row, bits,
+    coins, sites)`` per stage, ``sites`` holding each round's groups as
+    1-based sites in ascending key order: the window's first groups·m
+    sites, in chunks of m.  With ``firing_only`` only the firing bits
+    are drawn (coins and sites are None).  This is the only consumer of
+    the generator streams.
+    """
+    for row in table:
+        rng = stream(seed, "gen", algorithm, row.stage)
+        bits = rng.integers(0, 2, size=(row.rounds, row.firing), dtype=np.uint8)
+        if firing_only:
+            yield row, bits, None, None
+            continue
+        shape = (row.rounds, row.groups, m)
+        coins = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        order = np.argsort(rng.random((row.rounds, row.window)), axis=1)[:, : row.groups * m]
+        yield row, bits, coins, row.first + order.reshape(shape)
+
+
 @dataclass(frozen=True)
 class GateOptProgram:
     """Array form of one gate-opt thermalizer: its 2R rounds, stage 1 first.
@@ -107,49 +200,28 @@ class GateOptProgram:
         return [(self.masks, self.patterns, self.flips, np.zeros(len(self.masks), dtype=bool))]
 
 
-def _gate_opt_draw(gp: GenParams, firing_only: bool = False):
-    """Draw the gate-opt stream, one stage at a time.
-
-    Stage 0 (stage 1 of the circuit metadata) conditions on m sites of
-    [1, k] and targets [k+1, n]; stage 1 mirrors it with controls in
-    [k+1, n] and targets [1, k].  Stage j reads the stream ("gen",
-    "gate-opt", j) in three blocks: the (rounds, targets) uint8 target
-    mask, the (rounds, m) polarity coins, then a (rounds, window) float64
-    key matrix whose m smallest keys per row pick the round's controls.
-    Yields ``(target_first, mask, coins, sites)`` per stage, ``sites``
-    holding each round's 1-based control sites in ascending order, the
-    j-th smallest taking the j-th coin.  With ``firing_only`` only the
-    masks are drawn (coins and sites are None).  This is the only
-    consumer of the gate-opt stream.
-    """
-    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
-    if m > k:
+def _gate_opt_stages(gp: GenParams) -> list[Stage]:
+    """The gate-opt stage table, once both windows hold m sites."""
+    if gp.m > gp.k:
         raise ValueError("gate-opt requires m <= k (stage-1 controls live in [1, k])")
-    if m > n - k:
+    if gp.m > gp.n - gp.k:
         raise ValueError("gate-opt requires m <= n-k (stage-2 controls live in [k+1, n])")
-    for stage, (x1, window, target_first) in enumerate(((1, k, k + 1), (k + 1, n - k, 1))):
-        rng = stream(gp.seed, "gen", "gate-opt", stage)
-        mask = rng.integers(0, 2, size=(rounds, n - window), dtype=np.uint8)
-        if firing_only:
-            yield target_first, mask, None, None
-            continue
-        coins = rng.integers(0, 2, size=(rounds, m), dtype=np.uint8)
-        picks = np.argpartition(rng.random((rounds, window)), m - 1, axis=1)[:, :m]
-        yield target_first, mask, coins, x1 + np.sort(picks, axis=1)
+    return stage_table("gate-opt", gp.n, gp.k, gp.t, gp.alpha, gp.m)
 
 
 def gate_opt_program(gp: GenParams) -> GateOptProgram:
     """Draw the two-stage serial bit thermalizer as packed round arrays:
-    the rounds of ``_gate_opt_draw``'s stages in order.
+    the rounds of its stages in order.  A round's controls are its m
+    sites in ascending order, the j-th smallest taking the j-th coin.
     ``gate_opt_thermalizer`` is a view of the result."""
     n, rounds = gp.n, gp.rounds
     sites, coins = [], []
     targets = np.zeros((2 * rounds, n), dtype=np.uint8)
-    for stage, (target_first, mask, stage_coins, stage_sites) in enumerate(_gate_opt_draw(gp)):
-        lo = target_first - 1
-        targets[stage * rounds : (stage + 1) * rounds, lo : lo + mask.shape[1]] = mask
-        sites.append(stage_sites)
-        coins.append(stage_coins)
+    for row, mask, stage_coins, stage_sites in _draw_stages("gate-opt", _gate_opt_stages(gp), gp.m, gp.seed):
+        lo = row.first_target - 1
+        targets[row.stage * rounds : (row.stage + 1) * rounds, lo : lo + row.firing] = mask
+        sites.append(np.sort(stage_sites[:, 0], axis=1))
+        coins.append(stage_coins[:, 0])
     sites = np.concatenate(sites)
     masks, patterns = pack_sites(np.array((sites, sites * np.concatenate(coins))), words_needed(n))
     return GateOptProgram(
@@ -207,65 +279,17 @@ def gate_opt_thermalizer(gp: GenParams) -> Circuit:
     )
 
 
-def _depth_opt_stages(n: int, k: int, m: int) -> list[tuple[int, int, int, int, int]]:
-    """Stage table (x1, x2, p, slots, target_base) including the closer.
-
-    Growth stage at control size s has p = floor(s/m) groups and targets
-    s+1 .. s+slots (slots truncated at n); the closing stage draws
-    controls from [k+1, n] and targets 1 .. min(p, k).
-    """
-    if m > k:
-        raise ValueError("depth-opt requires m <= k")
-    if n <= k:
-        raise ValueError("depth-opt requires k < n")
-    if (n - k) // m < 1:
-        raise ValueError("closing phase needs at least one group: n-k >= m")
-    stages = []
-    s = k
-    while s < n:
-        p = s // m
-        stages.append((1, s, p, min(p, n - s), s))
-        s += p
-    p_close = (n - k) // m
-    stages.append((k + 1, n, p_close, min(p_close, k), 0))
-    return stages
+def _depth_opt_stages(gp: GenParams) -> list[Stage]:
+    """The depth-opt stage table, once its closing window holds 2 sites."""
+    table = stage_table("depth-opt", gp.n, gp.k, gp.t, gp.alpha, gp.m)
+    if gp.n - gp.k < 2:
+        raise ValueError("depth-opt closing window [k+1, n] needs at least 2 sites")
+    return table
 
 
 def depth_opt_stage_count(n: int, k: int, m: int) -> int:
     """Number of growth stages of the staged thermalizer (deterministic)."""
-    return len(_depth_opt_stages(n, k, m)) - 1
-
-
-def _depth_opt_draw(gp: GenParams, firing_only: bool = False):
-    """Draw the depth-opt stream, one stage at a time.
-
-    Stage j, the ``_depth_opt_stages`` row (x1, x2, p, slots, _), reads
-    the stream ("gen", "depth-opt", j) in three blocks: the
-    (rounds, slots) uint8 apply bits, the (rounds, slots, m) polarity
-    coins, then a (rounds, x2 - x1 + 1) float64 key matrix.  The window
-    sites in ascending key order form a uniform arrangement whose
-    consecutive chunks of m are the round's p groups; only the first
-    ``slots`` groups can fire, so only theirs are kept.  Yields ``(stage,
-    apply, coins, sites)`` per stage, ``sites`` holding each kept
-    group's 1-based sites in draw order.  With ``firing_only`` only the
-    apply bits are drawn (coins and sites are None), which keeps the
-    cost profile at one small block per stage.  This is the only
-    consumer of the depth-opt stream.
-    """
-    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
-    stages = _depth_opt_stages(n, k, m)
-    if n - k < 2:
-        raise ValueError("depth-opt closing window [k+1, n] needs at least 2 sites")
-    for j, stage in enumerate(stages):
-        x1, x2, _, slots, _ = stage
-        rng = stream(gp.seed, "gen", "depth-opt", j)
-        apply = rng.integers(0, 2, size=(rounds, slots), dtype=np.uint8)
-        if firing_only:
-            yield stage, apply, None, None
-            continue
-        coins = rng.integers(0, 2, size=(rounds, slots, m), dtype=np.uint8)
-        order = np.argsort(rng.random((rounds, x2 - x1 + 1)), axis=1)[:, : slots * m]
-        yield stage, apply, coins, x1 + order.reshape(rounds, slots, m)
+    return len(stage_table("depth-opt", n, k, 1, 1.0, m)) - 1
 
 
 @dataclass(frozen=True)
@@ -276,8 +300,8 @@ class DepthOptProgram:
     of ``depth_opt_thermalizer``'s gates.  Slot i flips site
     ``targets[i]`` on the copies that hold ``values[i]`` on the sites
     ``sites[i]`` (its group's m sites, 1-based, in draw order).
-    ``fired[j, r]`` counts the fired slots of round r of
-    ``_depth_opt_stages`` row j, the closing stage last.
+    ``fired[j, r]`` counts the fired slots of round r of stage j, the
+    closing stage last.
     """
 
     n: int
@@ -300,17 +324,17 @@ class DepthOptProgram:
 def depth_opt_program(gp: GenParams) -> DepthOptProgram:
     """Draw the staged thermalizer as arrays of its fired slots.
 
-    Each stage's fired slots are selected from its ``_depth_opt_draw``
-    blocks in one step: slot x of a round conditions on the round's x-th
-    group and targets site target_base + x + 1.
-    ``depth_opt_thermalizer`` is a view of the result.
+    Each stage's fired slots are selected from its blocks in one step:
+    slot x of a round conditions on the round's x-th group and targets
+    the stage's x-th target site.  ``depth_opt_thermalizer`` is a view of
+    the result.
     """
     sites, values, targets, fired = [], [], [], []
-    for (_, _, _, _, target_base), apply, coins, stage_sites in _depth_opt_draw(gp):
+    for row, apply, coins, stage_sites in _draw_stages("depth-opt", _depth_opt_stages(gp), gp.m, gp.seed):
         on = apply == 1
         sites.append(stage_sites[on])
         values.append(coins[on])
-        targets.append(target_base + 1 + np.nonzero(on)[1])
+        targets.append(row.first_target + np.nonzero(on)[1])
         fired.append(on.sum(axis=1))
     return DepthOptProgram(
         n=gp.n,
@@ -350,8 +374,9 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
         layers.append(Layer(gates[end : end + count], check=False) if count else _EMPTY_LAYER)
         end += count
     stages_meta = [
-        {"s": x2 if x1 == 1 else "closing", "p": p, "targets": slots, "first_layer": j * gp.rounds}
-        for j, (x1, x2, p, slots, _) in enumerate(_depth_opt_stages(gp.n, gp.k, gp.m))
+        {"s": row.window if row.first == 1 else "closing", "p": row.window // gp.m, "targets": row.firing,
+         "first_layer": row.stage * gp.rounds}
+        for row in stage_table("depth-opt", gp.n, gp.k, gp.t, gp.alpha, gp.m)
     ]
     extra = {"stages": stages_meta, "growth_stages": len(stages_meta) - 1}
     return Circuit(
@@ -388,19 +413,9 @@ class SignProgram:
         return [(masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool))]
 
 
-def _sign_draw(n: int, p: int, alpha: float, t: int, m: int, seed: int, firing_only: bool = False):
-    """Draw the sign stream: its one stage of ceil(alpha*t/p) layers.
-
-    Each layer partitions the window [1, m*p] into p disjoint m-site
-    groups, each with fair-coin required values and a fair apply bit.
-    The stream ("gen", "sign", 0) gives three blocks: the (layers, p)
-    uint8 apply bits, the (layers, p, m) polarity coins, then a
-    (layers, m*p) float64 key matrix; the window sites in ascending key
-    order, in chunks of m, are the groups.  Returns ``(apply, coins,
-    sites)``, ``sites`` holding each group's 1-based sites in draw
-    order.  With ``firing_only`` only the apply bits are drawn (coins
-    and sites are None).  This is the only consumer of the sign stream.
-    """
+def _sign_stages(n: int, p: int, alpha: float, t: int, m: int) -> list[Stage]:
+    """The sign stage table, once its window [1, m*p] fits in [1, n] and
+    holds 2 sites."""
     if n < 1:
         raise ValueError("n must be positive")
     if m < 1 or p < 1:
@@ -411,20 +426,14 @@ def _sign_draw(n: int, p: int, alpha: float, t: int, m: int, seed: int, firing_o
         raise ValueError("condition window [1, m*p] needs at least 2 sites")
     if t < 1 or alpha <= 0:
         raise ValueError("t and alpha must be positive")
-    layers = ceil_rounds(alpha * t / p)
-    rng = stream(seed, "gen", "sign", 0)
-    apply = rng.integers(0, 2, size=(layers, p), dtype=np.uint8)
-    if firing_only:
-        return apply, None, None
-    coins = rng.integers(0, 2, size=(layers, p, m), dtype=np.uint8)
-    order = np.argsort(rng.random((layers, m * p)), axis=1)
-    return apply, coins, 1 + order.reshape(layers, p, m)
+    return stage_table("sign", n, 0, t, alpha, m, p)
 
 
 def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:
-    """Draw the parallel sign thermalizer as slot arrays (the blocks of
-    ``_sign_draw``).  ``sign_thermalizer`` is a view of the result."""
-    apply, coins, sites = _sign_draw(n, p, alpha, t, m, seed)
+    """Draw the parallel sign thermalizer as slot arrays: its one stage's
+    blocks, the groups arranging the whole window.  ``sign_thermalizer``
+    is a view of the result."""
+    [(_, apply, coins, sites)] = _draw_stages("sign", _sign_stages(n, p, alpha, t, m), m, seed)
     return SignProgram(n, sites, coins, apply == 1)
 
 
@@ -467,40 +476,42 @@ def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0
 
 @dataclass(frozen=True)
 class CostMeasurement:
-    """Measured costs of one generated circuit."""
+    """Costs of one generated circuit: measured by the cost profiles, or
+    expected over the fair firing bits by ``analysis.predicted_cost``
+    (``gates``, ``decomposed_depth`` and ``ccx_count`` are then floats;
+    ``unit_depth`` is exact for every seed)."""
 
-    gates: int
+    gates: float
     unit_depth: int
-    decomposed_depth: int
-    ccx_count: int
+    decomposed_depth: float
+    ccx_count: float
+
+
+def _cost_profile(algorithm: str, table: list[Stage], m: int, seed: int) -> CostMeasurement:
+    """Costs of a run from its firing bits alone, one stage block at a
+    time: at sweep sizes the program would hold millions of slots.  A
+    layer with a firing bit takes the ladder depth of its m-site
+    condition, an empty one a unit idle step."""
+    cost = ccx_ladder_count(m)
+    gates = busy = layers = 0
+    for row, bits, _, _ in _draw_stages(algorithm, table, m, seed, firing_only=True):
+        fired = bits.reshape(-1, row.width).sum(axis=1)
+        gates += int(fired.sum())
+        busy += np.count_nonzero(fired)
+        layers += len(fired)
+    return CostMeasurement(gates, layers, busy * cost + layers - busy, gates * cost)
 
 
 def gate_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``gate_opt_thermalizer(gp)`` from its target masks alone:
-    every round keeps one layer per candidate target."""
-    gates = sum(int(mask.sum()) for _, mask, _, _ in _gate_opt_draw(gp, firing_only=True))
-    cost = ccx_ladder_count(gp.m)
-    slots = gp.rounds * gp.n
-    return CostMeasurement(gates, slots, gates * cost + (slots - gates), gates * cost)
-
-
-def _layer_costs(fired: np.ndarray, cost: int) -> CostMeasurement:
-    """Costs of layers whose fired-slot counts are ``fired``: a layer with
-    a gate takes its ladder depth, an empty one a unit idle step."""
-    gates = int(fired.sum())
-    return CostMeasurement(gates, len(fired), int(np.where(fired > 0, cost, 1).sum()), gates * cost)
+    """Costs of ``gate_opt_thermalizer(gp)`` from its target masks alone."""
+    return _cost_profile("gate-opt", _gate_opt_stages(gp), gp.m, gp.seed)
 
 
 def depth_opt_cost_profile(gp: GenParams) -> CostMeasurement:
-    """Costs of ``depth_opt_thermalizer(gp)`` from its apply bits alone,
-    one stage at a time: at sweep sizes the program would hold millions
-    of slots."""
-    fired = [apply.sum(axis=1) for _, apply, _, _ in _depth_opt_draw(gp, firing_only=True)]
-    return _layer_costs(np.concatenate(fired), ccx_ladder_count(gp.m))
+    """Costs of ``depth_opt_thermalizer(gp)`` from its apply bits alone."""
+    return _cost_profile("depth-opt", _depth_opt_stages(gp), gp.m, gp.seed)
 
 
 def sign_cost_profile(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> CostMeasurement:
     """Costs of ``sign_thermalizer(...)`` from its apply bits alone."""
-    apply, _, _ = _sign_draw(n, p, alpha, t, m, seed, firing_only=True)
-    # m-site condition: m-1 controls plus the signed target
-    return _layer_costs(apply.sum(axis=1), ccx_ladder_count(m))
+    return _cost_profile("sign", _sign_stages(n, p, alpha, t, m), m, seed)

@@ -10,7 +10,7 @@ import pytest
 
 from subsetphase import cli, generators, subsetstate
 from subsetphase.circuit import ControlTerm
-from subsetphase.generators import GenParams, _depth_opt_stages, ceil_rounds, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
 from subsetphase.rng import derive_seed, stream
 from subsetphase.subsetstate import to_statevector
 
@@ -92,72 +92,41 @@ def prmc(
 
 
 # The first generator stream layout: one stream per generator, drawn round
-# by round.  A shared-condition round reads permutation(window)[:m] (its
-# controls) and then one coin vector of m polarities and the n - window
-# target mask; a parallel round reads permutation(window)[:m*p] (its
-# groups of m in draw order) and then m*p polarities and p apply bits.
+# by round.  A gate-opt round reads permutation(window)[:m] (its controls)
+# and then one coin vector of m polarities and its target mask; a
+# depth-opt or sign round partitions the window into p = window // m
+# groups, reading permutation(window)[:m*p] (the groups of m in draw
+# order) and then m*p polarities and p apply bits.
 FIRST_LAYOUT_RNG_KIND = "philox4x64/sha256-derived-streams"
 
 
-def first_layout_gate_opt_draw(gp: GenParams, firing_only: bool = False):
-    """``generators._gate_opt_draw``'s stage tuples, read from the first
-    layout's one gate-opt stream."""
-    n, k, m, rounds = gp.n, gp.k, gp.m, gp.rounds
-    rng = stream(gp.seed, "gen", "gate-opt")
-    for x1, window, target_first in ((1, k, k + 1), (k + 1, n - k, 1)):
-        picks, coins = [], []
-        for _ in range(rounds):
-            picks.append(rng.permutation(window)[:m])
-            coins.append(rng.integers(0, 2, size=m + n - window, dtype=np.uint8))
-        picks, coins = np.array(picks), np.array(coins)
+def first_layout_draw_stages(algorithm, table, m, seed, firing_only=False):
+    """``generators._draw_stages``'s per-stage blocks, read from the first
+    layout's one stream of ``algorithm`` across all stages."""
+    rng = stream(seed, "gen", algorithm)
+    for row in table:
+        groups = 1 if algorithm == "gate-opt" else row.window // m
+        firing = row.firing if algorithm == "gate-opt" else groups
+        offsets, coins = [], []
+        for _ in range(row.rounds):
+            offsets.append(rng.permutation(row.window)[: m * groups])
+            coins.append(rng.integers(0, 2, size=m * groups + firing, dtype=np.uint8))
+        offsets, coins = np.array(offsets), np.array(coins)
+        bits = coins[:, m * groups : m * groups + row.firing]
         if firing_only:
-            yield target_first, coins[:, m:], None, None
-        else:
-            yield target_first, coins[:, m:], coins[:, :m], x1 + np.sort(picks, axis=1)
-
-
-def _first_layout_parallel_stage(rng, rounds: int, window: int, m: int, p: int, slots: int):
-    """(apply, coins, 0-based sites) of a parallel stage's first ``slots``
-    groups, read round by round."""
-    offsets, coins = [], []
-    for _ in range(rounds):
-        offsets.append(rng.permutation(window)[: m * p])
-        coins.append(rng.integers(0, 2, size=m * p + p, dtype=np.uint8))
-    offsets, coins = np.array(offsets), np.array(coins)
-    shape = (rounds, p, m)
-    return (
-        coins[:, m * p : m * p + slots],
-        coins[:, : m * p].reshape(shape)[:, :slots],
-        offsets.reshape(shape)[:, :slots],
-    )
-
-
-def first_layout_depth_opt_draw(gp: GenParams, firing_only: bool = False):
-    """``generators._depth_opt_draw``'s stage tuples, read from the first
-    layout's one depth-opt stream."""
-    rng = stream(gp.seed, "gen", "depth-opt")
-    for stage in _depth_opt_stages(gp.n, gp.k, gp.m):
-        x1, x2, p, slots, _ = stage
-        apply, coins, offsets = _first_layout_parallel_stage(rng, gp.rounds, x2 - x1 + 1, gp.m, p, slots)
-        yield (stage, apply, None, None) if firing_only else (stage, apply, coins, x1 + offsets)
-
-
-def first_layout_sign_draw(n, p, alpha, t, m, seed, firing_only=False):
-    """``generators._sign_draw``'s blocks, read from the first layout's
-    sign stream."""
-    rng = stream(seed, "gen", "sign")
-    apply, coins, offsets = _first_layout_parallel_stage(rng, ceil_rounds(alpha * t / p), m * p, m, p, p)
-    return (apply, None, None) if firing_only else (apply, coins, 1 + offsets)
+            yield row, bits, None, None
+            continue
+        kept = m * row.groups
+        shape = (row.rounds, row.groups, m)
+        yield row, bits, coins[:, :kept].reshape(shape), row.first + offsets[:, :kept].reshape(shape)
 
 
 @pytest.fixture
 def first_layout(monkeypatch):
-    """Put the first stream layout back in place of the generators' draw
-    functions, and its ``RNG_KIND`` in place of the reports' one.
+    """Put the first stream layout back in place of the generators' one
+    stage reader, and its ``RNG_KIND`` in place of the reports' one.
     Everything downstream of the draws runs as it is."""
-    monkeypatch.setattr(generators, "_gate_opt_draw", first_layout_gate_opt_draw)
-    monkeypatch.setattr(generators, "_depth_opt_draw", first_layout_depth_opt_draw)
-    monkeypatch.setattr(generators, "_sign_draw", first_layout_sign_draw)
+    monkeypatch.setattr(generators, "_draw_stages", first_layout_draw_stages)
     monkeypatch.setattr(cli, "RNG_KIND", FIRST_LAYOUT_RNG_KIND)
 
 

@@ -145,6 +145,27 @@ class TestSim:
         assert "--trials" in res.stderr
         assert not rep.exists()
 
+    @pytest.mark.parametrize(
+        "edit,args,message",
+        [
+            ({"params": [1, 2]}, [], "circuit params must be a JSON object"),
+            ({"metadata": {"rounds": [{"stage": 1}]}}, ["--diagnostics", "rank"],
+             "metadata round 0: missing key 'controls'"),
+            ({"metadata": {"rounds": 5}}, ["--diagnostics", "rank"], "metadata rounds must be a list"),
+        ],
+        ids=["params-list", "round-without-controls", "rounds-int"],
+    )
+    def test_malformed_metadata_exits_1_without_traceback(self, tmp_path, edit, args, message):
+        circ = tmp_path / "c.json"
+        rep = tmp_path / "r.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        circ.write_text(json.dumps({**read_json(circ), **edit}))
+        res = run_cli("sim", "--circuit", str(circ), *args, "--report", str(rep))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert message in res.stderr
+        assert not rep.exists()
+
     def test_unreadable_circuit_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -346,6 +367,8 @@ class TestScaling:
             ("n=64;t=4;m=2;p=4,8", ["p=4,8"]),
             ("n=64;t=4;m=2;p=", ["p="]),
             ("n=64;t=4;K=16;steps=2", ["K", "steps"]),
+            # the sign thermalizer has no k
+            ("n=64;t=4;k=16,32", ["grid name k", "sign"]),
         ],
     )
     def test_grid_rejects_unknown_names_and_several_p(self, tmp_path, grid, named):

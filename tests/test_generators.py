@@ -24,9 +24,10 @@ from subsetphase.copysim import compile_circuit, unpack_bits, words_needed
 from subsetphase.generators import (
     CostMeasurement,
     GenParams,
-    _depth_opt_draw,
-    _gate_opt_draw,
-    _sign_draw,
+    _depth_opt_stages,
+    _draw_stages,
+    _gate_opt_stages,
+    _sign_stages,
     ceil_rounds,
     depth_opt_cost_profile,
     depth_opt_program,
@@ -527,8 +528,8 @@ class TestStageDraws:
         picks = [[], []]
         for seed in range(200):
             gp = GenParams(n=9, k=5, t=8, alpha=4.0, m=m, seed=seed)
-            for stage, (_, _, _, sites) in enumerate(_gate_opt_draw(gp)):
-                picks[stage].append(sites)
+            for stage, (_, _, _, sites) in enumerate(_draw_stages("gate-opt", _gate_opt_stages(gp), m, seed)):
+                picks[stage].append(np.sort(sites[:, 0], axis=1))
         for stage, window in enumerate((5, 4)):
             rows = np.concatenate(picks[stage])
             assert np.all(np.diff(rows, axis=1) > 0)
@@ -539,14 +540,14 @@ class TestStageDraws:
         # a stage's kept groups, members in draw order, are a uniform
         # ordered selection from its window: a uniform partition with a
         # uniform last member per group
-        stages = generators._depth_opt_stages(n, k, m)
+        stages = generators.stage_table("depth-opt", n, k, 16, 16.0, m)
         kept = [[] for _ in stages]
         for seed in range(100):
             gp = GenParams(n=n, k=k, t=16, alpha=16.0, m=m, seed=seed)
-            for j, (_, _, _, sites) in enumerate(_depth_opt_draw(gp)):
+            for j, (_, _, _, sites) in enumerate(_draw_stages("depth-opt", _depth_opt_stages(gp), m, seed)):
                 kept[j].append(sites.reshape(gp.rounds, -1))
-        for (x1, x2, _, slots, _), rows in zip(stages, kept):
-            assert_uniform(np.concatenate(rows) - x1, math.perm(x2 - x1 + 1, slots * m))
+        for row, rows in zip(stages, kept):
+            assert_uniform(np.concatenate(rows) - row.first, math.perm(row.window, row.groups * m))
 
     @pytest.mark.parametrize("n,p,m", [(4, 2, 2), (6, 2, 3), (6, 3, 2)])
     def test_sign_groups_uniform(self, n, p, m):
@@ -559,19 +560,14 @@ class TestStageDraws:
         assert_uniform(rows, math.factorial(m * p))
 
     def test_firing_and_polarity_coins_fair(self):
-        blocks = {"gate-opt mask": [], "gate-opt coins": [], "depth-opt apply": [],
-                  "depth-opt coins": [], "sign apply": [], "sign coins": []}
+        blocks = {f"{name} {block}": [] for name in ("gate-opt", "depth-opt", "sign") for block in ("firing", "coins")}
         for seed in range(100):
             gp = GenParams(n=20, k=8, t=4, alpha=4.0, m=2, seed=seed)
-            for _, mask, coins, _ in _gate_opt_draw(gp):
-                blocks["gate-opt mask"].append(mask.ravel())
-                blocks["gate-opt coins"].append(coins.ravel())
-            for _, apply, coins, _ in _depth_opt_draw(gp):
-                blocks["depth-opt apply"].append(apply.ravel())
-                blocks["depth-opt coins"].append(coins.ravel())
-            apply, coins, _ = _sign_draw(20, 6, 16.0, 16, 3, seed)
-            blocks["sign apply"].append(apply.ravel())
-            blocks["sign coins"].append(coins.ravel())
+            for name, table, m in (("gate-opt", _gate_opt_stages(gp), 2), ("depth-opt", _depth_opt_stages(gp), 2),
+                                   ("sign", _sign_stages(20, 6, 16.0, 16, 3), 3)):
+                for _, bits, coins, _ in _draw_stages(name, table, m, seed):
+                    blocks[f"{name} firing"].append(bits.ravel())
+                    blocks[f"{name} coins"].append(coins.ravel())
         for name, bits in blocks.items():
             bits = np.concatenate(bits)
             assert set(np.unique(bits)) == {0, 1}, name

@@ -38,9 +38,6 @@ def test_drivers_run_programs_only():
     assert found == [], f"drivers.py reaches for circuit objects: {found}"
 
 
-GEN_TAGS = ("gate-opt", "depth-opt", "sign")
-
-
 def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
     """Every call of ``name`` under ``src/`` with the innermost function
     that makes it, as (call, "module.function")."""
@@ -68,20 +65,23 @@ def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
     return found
 
 
+READER = "_draw_stages"
+PROGRAMS = {"gate-opt": "gate_opt_program", "depth-opt": "depth_opt_program", "sign": "sign_program"}
+
+
 def test_each_generator_stream_is_consumed_in_one_function():
-    users: dict[object, set[str]] = {}
+    # one reader opens every generator stream, one per (generator, stage):
+    # the stage is the last tag, read from the stage table's row
+    users = set()
     for call, where in _calls_by_function("stream"):
         args = [a.value if isinstance(a, ast.Constant) else None for a in call.args]
         if "gen" in args[:-1]:
-            # one stream per (generator, stage): the stage is the last tag
             assert len(args) == args.index("gen") + 3, f"{where}: a gen stream without a stage tag"
-            users.setdefault(args[args.index("gen") + 1], set()).add(where)
-    assert set(users) == set(GEN_TAGS), f"generator stream tags: {sorted(map(str, users))}"
-    for tag, where in users.items():
-        assert len(where) == 1, f"stream 'gen', {tag!r} drawn in {sorted(where)}"
+            assert getattr(call.args[-1], "attr", None) == "stage", f"{where}: the last tag is not a stage"
+            users.add(where)
+    assert users == {f"generators.{READER}"}, f"generator streams opened in {sorted(users)}"
 
 
-DRAWS = {"gate_opt": "_gate_opt_draw", "depth_opt": "_depth_opt_draw", "sign": "_sign_draw"}
 GENERATORS = Path(__file__).resolve().parents[1] / "src" / "subsetphase" / "generators.py"
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -119,20 +119,46 @@ def test_generators_draw_stage_blocks_not_rounds():
             for node, depth in depths
             if isinstance(node, ast.Call) and getattr(getattr(node.func, "value", None), "id", None) in streams
         ]
-    assert {name for name, _, _ in calls} == set(DRAWS.values())
+    assert {name for name, _, _ in calls} == {READER}
     assert [(name, line) for name, line, inner in calls if inner] == [], "Generator calls in a per-round loop"
 
 
+def _tag(call: ast.Call):
+    first = call.args[0] if call.args else None
+    return first.value if isinstance(first, ast.Constant) else None
+
+
 def test_depth_opt_rounds_readers():
-    # each generator's one draw function has two readers, its program and
-    # its cost profile, and the profile asks for the firing bits only
-    for generator, draw in DRAWS.items():
-        calls = _calls_by_function(draw)
-        readers = sorted(where for _, where in calls)
-        assert readers == [f"generators.{generator}_cost_profile", f"generators.{generator}_program"], readers
-        for call, where in calls:
-            firing_only = [k.value.value for k in call.keywords if k.arg == "firing_only"]
-            assert firing_only == ([True] if where.endswith("_cost_profile") else []), where
+    # the stage reader has two kinds of readers: each generator's program,
+    # which draws every block, and the one cost-profile fold, which asks
+    # for the firing bits only and serves each generator's profile
+    calls = _calls_by_function(READER)
+    readers = sorted(where for _, where in calls)
+    assert readers == sorted(["generators._cost_profile"] + [f"generators.{f}" for f in PROGRAMS.values()]), readers
+    for call, where in calls:
+        firing_only = [k.value.value for k in call.keywords if k.arg == "firing_only"]
+        assert firing_only == ([True] if where == "generators._cost_profile" else []), where
+        if where != "generators._cost_profile":
+            assert PROGRAMS[_tag(call)] == where.partition(".")[2], where
+    profiles = {(_tag(call), where) for call, where in _calls_by_function("_cost_profile")}
+    assert profiles == {(tag, f"generators.{f.replace('_program', '_cost_profile')}") for tag, f in PROGRAMS.items()}
+
+
+def test_analysis_reads_the_layout_from_generators():
+    # round counts and stage tables are worked out in ``generators`` only;
+    # ``analysis`` reads them through ``stage_table``
+    path = Path(__file__).resolve().parents[1] / "src" / "subsetphase" / "analysis.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    banned = {"ceil_rounds", "_depth_opt_stages"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(a.name, node.lineno) for a in node.names if a.name.rpartition(".")[2] in banned]
+        elif isinstance(node, ast.Name) and node.id in banned:
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append((node.attr, node.lineno))
+    assert found == [], f"analysis.py works out the layout itself: {found}"
 
 
 KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
