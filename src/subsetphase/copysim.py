@@ -419,6 +419,9 @@ def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm
         try:
             if r["stage"] == stage:
                 terms = [ControlTerm(int(pos), int(val)) for pos, val in r["controls"]]
+                for term in terms:
+                    if term.position > c.n:
+                        raise ValueError(f"control site {term.position} outside [1, {c.n}]")
                 probes.append((int(r["layer"]), terms))
         except KeyError as e:
             raise ValueError(f"metadata round {i}: missing key {e.args[0]!r}") from None

@@ -16,7 +16,7 @@ from math import comb, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc, ndtr, ndtri, pdtr, pdtrc
 
 from .copysim import CopyEnsemble
 
@@ -120,7 +120,7 @@ def marginal_bias_test(
     cells = t * n
     sigma = 0.5 / sqrt(n_trials)
     z = (counts / n_trials - 0.5) / sigma
-    z_crit = max(4.0, float(sps.norm.ppf(1.0 - alpha / (2.0 * cells))))
+    z_crit = max(4.0, float(ndtri(1.0 - alpha / (2.0 * cells))))
     flagged = np.argwhere(np.abs(z) > z_crit)
     max_abs_z = float(np.abs(z).max())
     return TestReport(
@@ -129,7 +129,7 @@ def marginal_bias_test(
         samples=n_trials,
         passed=flagged.size == 0,
         threshold=z_crit,
-        p_value=float(min(1.0, cells * 2.0 * sps.norm.sf(max_abs_z))),
+        p_value=float(min(1.0, cells * 2.0 * ndtr(-max_abs_z))),
         seed=seed,
         details={
             "cells": cells,
@@ -184,7 +184,7 @@ def pairwise_xor_test(
     counts = np.ascontiguousarray((ones[:, p] + ones[:, q] - 2 * co[:, p, q]).T)
     cells = p.size * n
     chi2 = float((((counts - n_trials / 2.0) ** 2) / (n_trials / 4.0)).sum())
-    p_value = float(sps.chi2.sf(chi2, cells))
+    p_value = float(chdtrc(cells, chi2))
     return TestReport(
         name="pairwise_xor",
         statistic=chi2,
@@ -208,7 +208,7 @@ def _uniform_chi2_p(counts: np.ndarray, n_trials: int, seed: int | None) -> tupl
     expected = n_trials / bins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     if expected >= _MIN_EXPECTED_FOR_CHI2:
-        return chi2, float(sps.chi2.sf(chi2, bins - 1))
+        return chi2, float(chdtrc(bins - 1, chi2))
     rng = np.random.default_rng(0 if seed is None else seed)
     probs = np.full(bins, 1.0 / bins)
     n_draws, chunk = 4000, 250
@@ -312,6 +312,13 @@ def subset_uniformity_test(
     )
 
 
+def poisson_tails(count: int, mean: float) -> tuple[float, float]:
+    """P(X <= count) and P(X >= count) for X ~ Poisson(mean)."""
+    # pdtrc(-1, mean) is nan, where P(X >= 0) is 1
+    hi = float(pdtrc(count - 1, mean)) if count > 0 else 1.0
+    return float(pdtr(count, mean)), hi
+
+
 def subset_collision_test(
     subsets: Sequence[frozenset[int] | tuple[int, ...]],
     n: int,
@@ -334,9 +341,7 @@ def subset_collision_test(
     collisions = sum(c * (c - 1) // 2 for c in tally.values())
     mean = comb(n_trials, 2) / domain
     # two-sided exact Poisson tail
-    lo = float(sps.poisson.cdf(collisions, mean))
-    hi = float(sps.poisson.sf(collisions - 1, mean))
-    p_value = min(1.0, 2.0 * min(lo, hi))
+    p_value = min(1.0, 2.0 * min(poisson_tails(collisions, mean)))
     return TestReport(
         name="subset_collision",
         statistic=float(collisions),

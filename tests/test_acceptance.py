@@ -237,15 +237,16 @@ def test_criterion_8_cross_representation_consistency():
         for _ in range(count):
             c = random_circuit(rng, n, 5)
             table = state_apply(initial_subset_state(n, n), c)
-            for b in range(1 << n):
-                single = CopyEnsemble.from_ints(n, [b])
-                for layer in c.layers:
-                    for g in layer.gates:
-                        single = apply_gate(single, g)
-                if (
-                    single.to_ints()[0] != table.image_ints()[b]
-                    or single.signs[0] != table.signs[b]
-                ):
+            # copy b holds string b; copies evolve independently under
+            # apply_gate, so one pass evolves every string on its own
+            strings = CopyEnsemble.from_ints(n, range(1 << n))
+            for layer in c.layers:
+                for g in layer.gates:
+                    strings = apply_gate(strings, g)
+            for got, want in zip(
+                zip(strings.to_ints(), strings.signs), zip(table.image_ints(), table.signs)
+            ):
+                if got != want:
                     mismatches += 1
             circuits += 1
     ok = mismatches == 0 and circuits == 100

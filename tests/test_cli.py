@@ -152,8 +152,12 @@ class TestSim:
             ({"metadata": {"rounds": [{"stage": 1}]}}, ["--diagnostics", "rank"],
              "metadata round 0: missing key 'controls'"),
             ({"metadata": {"rounds": 5}}, ["--diagnostics", "rank"], "metadata rounds must be a list"),
+            ({"metadata": {"rounds": [{"stage": 1, "layer": 0, "controls": [[99, 1]]}]}},
+             ["--diagnostics", "rank"], "metadata round 0: control site 99 outside [1, 12]"),
+            ({"metadata": {"rounds": [{"stage": 1, "layer": 0, "controls": [[3, 2]]}]}},
+             ["--diagnostics", "rank"], "metadata round 0: required_value must be 0 or 1"),
         ],
-        ids=["params-list", "round-without-controls", "rounds-int"],
+        ids=["params-list", "round-without-controls", "rounds-int", "control-site-outside", "control-value-2"],
     )
     def test_malformed_metadata_exits_1_without_traceback(self, tmp_path, edit, args, message):
         circ = tmp_path / "c.json"

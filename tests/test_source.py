@@ -1,11 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "subsetphase").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "subsetphase").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -173,3 +177,21 @@ def test_only_run_blocks_drives_the_kernel():
         if where.partition(".")[0] in ("drivers", "cli")
     }
     assert callers == {(name, "drivers.run_blocks") for name in KERNEL_CALLS}
+
+
+# scipy subpackages that take a second or more to import between them;
+# the package needs only scipy.special's kernels and scipy.linalg's BLAS
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.interpolate", "scipy.ndimage")
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # every launch pays for what ``import subsetphase.cli`` pulls in
+    probe = "import sys, subsetphase.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    loaded = set(res.stdout.split())
+    assert "subsetphase.cli" in loaded
+    assert sorted(loaded.intersection(HEAVY_SCIPY)) == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
+from scipy.special import chdtrc, ndtr, ndtri
 
 from subsetphase.copysim import CopyEnsemble, apply_gate, sample_initial_copies
 from subsetphase.drivers import (
@@ -17,6 +19,7 @@ from subsetphase.stats import (
     expected_uniform_tv,
     marginal_bias_test,
     pairwise_xor_test,
+    poisson_tails,
     sign_vector_test,
     subset_collision_test,
     subset_uniformity_test,
@@ -215,6 +218,52 @@ class TestSubsetCollision:
     def test_degenerate_sampler_fails(self):
         samples = [(1, 2)] * 500
         assert not subset_collision_test(samples, 10, 2).passed
+
+    @pytest.mark.parametrize("n_trials,passed", [(1800, True), (3000, False)])
+    def test_no_collisions(self, n_trials, passed):
+        # distinct pairs: 0 collisions where binom(N, 2)/domain (3.1 at
+        # 1800 samples, 8.6 at 3000) are expected; only the lower tail counts
+        samples = [(a, b) for a in range(1024) for b in range(a + 1, 1024)][:n_trials]
+        rep = subset_collision_test(samples, 10, 2)
+        mean = rep.details["expected_collisions"]
+        assert rep.statistic == 0.0
+        assert rep.p_value == min(1.0, 2.0 * min(sps.poisson.cdf(0, mean), sps.poisson.sf(-1, mean)))
+        assert rep.passed is passed
+
+
+class TestTailKernels:
+    """``stats`` calls the ``scipy.special`` kernels that ``scipy.stats``
+    wraps; each must return the very float the ``scipy.stats`` call it
+    replaces returns, over the argument ranges the tests reach."""
+
+    SIZE = 4000
+
+    def test_normal_quantile(self):
+        # Bonferroni quantiles 1 - alpha/(2 cells), alpha/(2 cells) down to 1e-12
+        tail = 10.0 ** stream(61, "ndtri").uniform(-12.0, np.log10(0.5), self.SIZE)
+        q = 1.0 - tail
+        assert np.array_equal(ndtri(q), sps.norm.ppf(q))
+
+    def test_normal_upper_tail(self):
+        z = np.concatenate([stream(62, "ndtr").uniform(0.0, 40.0, self.SIZE), [0.0, 4.0, 40.0]])
+        assert np.array_equal(ndtr(-z), sps.norm.sf(z))
+
+    def test_chi2_upper_tail(self):
+        rng = stream(63, "chdtrc")
+        df = rng.integers(1, 5001, self.SIZE)
+        # statistics from well below to well above the mean df
+        x = df * rng.uniform(0.0, 3.0, self.SIZE)
+        assert np.array_equal(chdtrc(df, x), sps.chi2.sf(x, df))
+        assert np.array_equal(chdtrc(df, 0.0), sps.chi2.sf(0.0, df))
+
+    def test_poisson_tails(self):
+        rng = stream(64, "pdtr")
+        means = 10.0 ** rng.uniform(-8.0, 2.0, self.SIZE)
+        counts = rng.integers(0, 201, self.SIZE)
+        counts[:100] = 0  # no collisions: P(X >= 0) is 1
+        got = np.array([poisson_tails(int(c), float(m)) for c, m in zip(counts, means)])
+        assert np.array_equal(got[:, 0], sps.poisson.cdf(counts, means))
+        assert np.array_equal(got[:, 1], sps.poisson.sf(counts - 1, means))
 
 
 class TestSanitySandwich:
