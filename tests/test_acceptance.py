@@ -243,11 +243,9 @@ def test_criterion_8_cross_representation_consistency():
             for layer in c.layers:
                 for g in layer.gates:
                     strings = apply_gate(strings, g)
-            for got, want in zip(
-                zip(strings.to_ints(), strings.signs), zip(table.image_ints(), table.signs)
-            ):
-                if got != want:
-                    mismatches += 1
+            got = zip(strings.to_ints(), strings.signs)
+            want = zip(table.image_ints(), table.signs)
+            mismatches += sum(image != ref for image, ref in zip(got, want))
             circuits += 1
     ok = mismatches == 0 and circuits == 100
     assert report(
