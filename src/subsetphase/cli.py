@@ -19,6 +19,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import __version__, analysis, drivers, stats
 from .circuit import (
@@ -31,7 +32,7 @@ from .circuit import (
     write_json_atomic,
     write_text_atomic,
 )
-from .copysim import CopyEnsemble, compile_circuit, round_probes, sample_initial_copies, words_needed
+from .copysim import CopyEnsemble, compile_circuit, round_probes, sample_initial_block, words_needed
 from .f2linalg import (
     BitMatrix,
     RankBoundParams,
@@ -155,17 +156,16 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
             raise click.ClickException("--diagnostics rank needs a circuit with recorded rounds")
         probes = round_probes(circuit, stage=1)
     program = compile_circuit(circuit.layers, words_needed(n), probes or ())
-    segments = [(program.masks, program.patterns, program.flips, program.diagonal)]
 
-    def draw(i: int):
-        initial = sample_initial_copies(n, k, t, stream(seed, "sim-copies", i))
-        return segments, initial.copies, initial.signs
+    def draw(lo: int, hi: int):
+        copies = sample_initial_block(n, k, t, [stream(seed, "sim-copies", i) for i in range(lo, hi)])
+        return (), copies, np.ones((hi - lo, t), dtype=np.int8)
 
     bit_totals = 0
     ranks: list[int] = []
     distinct: list[bool] = []
     sign_flip_rate = 0.0
-    for copies, signs, recorded in drivers.run_blocks(trials, draw, program.record):
+    for copies, signs, recorded in drivers.run_blocks(trials, draw, t * words_needed(n), shared=program):
         final = CopyEnsemble(n, copies, signs, check=False)
         if probes is not None:
             ranks.append(rank(BitMatrix.from_dense(recorded)))

@@ -21,6 +21,7 @@ per-gate reference the kernel is tested against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,12 +47,12 @@ def _word_masks(n: int) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack (rows, n) 0/1 values into (rows, words_needed(n)) uint64 words,
+    """Pack (..., n) 0/1 values into (..., words_needed(n)) uint64 words,
     column j going to site j+1."""
-    rows, n = bits.shape
-    padded = np.zeros((rows, 64 * words_needed(n)), dtype=np.uint8)
-    padded[:, :n] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * words_needed(n),), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -150,24 +151,37 @@ class CopyEnsemble:
         return f"CopyEnsemble(n={self.n}, t={self.t})"
 
 
-def random_bitstrings(rng: np.random.Generator, count: int, nbits: int, n: int) -> np.ndarray:
-    """(count, words_needed(n)) uint64 with the low ``nbits`` bits uniform."""
+def random_bitstrings(rngs: Sequence[np.random.Generator], count: int, nbits: int, n: int) -> np.ndarray:
+    """(B, count, words_needed(n)) uint64 with the low ``nbits`` bits
+    uniform, row set b drawn from ``rngs[b]``."""
     W = words_needed(n)
-    out = np.zeros((count, W), dtype=np.uint64)
+    out = np.zeros((len(rngs), count, W), dtype=np.uint64)
     w_rand = words_needed(nbits) if nbits else 0
     if w_rand:
-        raw = np.frombuffer(rng.bytes(count * w_rand * 8), dtype=np.uint64).reshape(count, w_rand)
-        out[:, :w_rand] = raw & _word_masks(nbits)[:w_rand]
+        raw = b"".join(rng.bytes(count * w_rand * 8) for rng in rngs)
+        out[..., :w_rand] = np.frombuffer(raw, dtype=np.uint64).reshape(len(rngs), count, w_rand)
+        out[..., :w_rand] &= _word_masks(nbits)[:w_rand]
     return out
 
 
 def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> CopyEnsemble:
-    """t distinct uniform elements of {0,1}^k x 0^(n-k), all signs +1.
+    """t distinct uniform elements of {0,1}^k x 0^(n-k), all signs +1:
+    ``sample_initial_block`` for one stream."""
+    copies = sample_initial_block(n, k, t, [rng])[0]
+    return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
+
+
+def sample_initial_block(n: int, k: int, t: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(B, t, W) copies: for each stream of ``rngs``, t distinct uniform
+    elements of {0,1}^k x 0^(n-k).
 
     Small domains (2^k up to ~4M, or t a large fraction of the domain)
     are sampled by slicing a random permutation, which stays exact even
-    at t = 2^k; large sparse domains use batched draws deduplicated in
-    draw order.
+    at t = 2^k.  In a large sparse domain each stream draws a pool of
+    max(2t, 64) strings and keeps its first t distinct ones, in draw
+    order.  One sort over the block checks that each trial's first t
+    draws are distinct; only a trial where they collide dedupes its pool
+    (``_first_distinct``).
     """
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
@@ -180,19 +194,32 @@ def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> C
     if domain is not None and (domain <= 4096 or t * 2 >= domain):
         if domain > (1 << 22):
             raise ValueError("dense sampling of a domain this large is not supported")
-        chosen = rng.permutation(domain)[:t]
-        copies = np.zeros((t, W), dtype=np.uint64)
-        copies[:, 0] = chosen.astype(np.uint64)
-        return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
-    row_bytes = np.dtype((np.void, 8 * W))
-    copies = np.zeros((0, W), dtype=np.uint64)
-    while len(copies) < t:
-        # rows kept so far are distinct and come first, so the first
-        # occurrences keep them and append new rows in draw order
-        pool = np.concatenate([copies, random_bitstrings(rng, max(2 * t, 64), k, n)])
+        copies = np.zeros((len(rngs), t, W), dtype=np.uint64)
+        for b, rng in enumerate(rngs):
+            copies[b, :, 0] = rng.permutation(domain)[:t]
+        return copies
+    pools = random_bitstrings(rngs, max(2 * t, 64), k, n)
+    copies = pools[:, :t].copy()
+    # only the low words_needed(k) words vary; one of them compares as is
+    firsts = copies[..., 0] if k <= 64 else copies.view(np.dtype((np.void, 8 * W)))[..., 0]
+    ordered = np.sort(firsts, axis=1)
+    for b in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+        copies[b] = _first_distinct(pools[b], rngs[b], n, k, t)
+    return copies
+
+
+def _first_distinct(pool: np.ndarray, rng: np.random.Generator, n: int, k: int, t: int) -> np.ndarray:
+    """The first t distinct rows of ``pool``, in draw order, topping it up
+    from ``rng`` while it holds fewer."""
+    row_bytes = np.dtype((np.void, 8 * pool.shape[1]))
+    while True:
         _, first = np.unique(pool.view(row_bytes).ravel(), return_index=True)
         copies = pool[np.sort(first)[:t]]
-    return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
+        if len(copies) == t:
+            return copies
+        # rows kept so far are distinct and come first, so the first
+        # occurrences keep them and append new rows in draw order
+        pool = np.concatenate([copies, random_bitstrings([rng], max(2 * t, 64), k, n)[0]])
 
 
 def apply_gate(e: CopyEnsemble, g: Gate) -> CopyEnsemble:
@@ -234,21 +261,37 @@ def _satisfied_words(copies: np.ndarray, mask: tuple[int, ...], pat: tuple[int, 
 _CHUNK_CELLS = 1 << 16
 
 
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+@functools.cache
+def site_words(W: int) -> np.ndarray:
+    """(64·W + 1, W) uint64: row i holds site i packed like a copy, and
+    row 0, the padding site, holds nothing.  Indexing it with an array
+    of sites packs each one."""
+    table = np.zeros((64 * W + 1, W), dtype=np.uint64)
+    offsets = np.arange(64 * W)
+    table[offsets + 1, offsets >> 6] = np.uint64(1) << (offsets & 63).astype(np.uint64)
+    table.flags.writeable = False
+    return table
 
 
-def pack_sites(sites, W: int) -> np.ndarray:
-    """Pack 1-based sites along the last axis into W uint64 words per
-    group, laid out like copies: (..., k) to (..., W).  Site 0 sets no
-    bit, so groups of unequal size pad with it."""
-    offsets = np.asarray(sites, dtype=np.int64) - 1
-    word = offsets >> 6
-    bits = _BITS[offsets & 63]
-    out = np.empty(word.shape[:-1] + (W,), dtype=np.uint64)
-    for w in range(W):
-        # padding has word -1, which matches no word
-        np.bitwise_or.reduce(np.where(word == w, bits, np.uint64(0)), axis=-1, out=out[..., w])
-    return out
+def pack_conditions(sites, values, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pack conditions into (mask, pattern) words laid out like copies.
+
+    ``sites`` (..., k) holds each condition's 1-based sites and
+    ``values`` (..., k) the 0/1 value each must hold; the results are
+    (..., W).  Site 0 sets no bit, so conditions of unequal size pad
+    with it.
+    """
+    sites, values = np.asarray(sites), np.asarray(values)
+    masks = np.zeros(sites.shape[:-1] + (W,), dtype=np.uint64)
+    patterns = np.zeros_like(masks)
+    for w, table in enumerate(site_words(W).T):
+        words = table.take(sites)
+        # one OR per member: a reduction along a short axis is far slower
+        for j in range(sites.shape[-1]):
+            masks[..., w] |= words[..., j]
+            words[..., j] *= values[..., j]
+            patterns[..., w] |= words[..., j]
+    return masks, patterns
 
 
 @dataclass(frozen=True)
@@ -329,18 +372,12 @@ def compile_circuit(
         [[c.position for c in terms] + [0] * (width - len(terms)) for terms in conditions],
         dtype=np.int64,
     ).reshape(len(conditions), width)
-    # the sites that must hold 1; the others pad with 0
-    ones = np.array(
-        [[c.position * c.required_value for c in terms] + [0] * (width - len(terms)) for terms in conditions],
-        dtype=np.int64,
+    values = np.array(
+        [[c.required_value for c in terms] + [0] * (width - len(terms)) for terms in conditions],
+        dtype=np.uint8,
     ).reshape(len(conditions), width)
-    return step_program(
-        pack_sites(sites, W),
-        pack_sites(ones, W),
-        pack_sites(np.array(flip_sites, dtype=np.int64)[:, None], W),
-        diagonal,
-        record,
-    )
+    masks, patterns = pack_conditions(sites, values, W)
+    return step_program(masks, patterns, site_words(W)[np.array(flip_sites, dtype=np.int64)], diagonal, record)
 
 
 def run_steps(prog: StepProgram, copies: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:

@@ -3,13 +3,16 @@
 Every driver derives one independent stream per (master seed, purpose,
 trial index), so trials are order-independent and each artifact can name
 the exact stream that produced it, however trials are grouped.  Every
-trial loop that simulates, ``sim``'s too, runs through ``run_blocks``.
+trial loop that simulates, ``sim``'s too, runs through ``run_blocks``,
+which asks for a block of trials at a time: the drivers draw a block's
+programs and initial copies together, one pass over its seeds, and
+pack its rows in one pass.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -20,9 +23,12 @@ from . import subsetstate
 from .circuit import ccx_ladder_count
 from .copysim import (
     CopyEnsemble,
+    StepProgram,
     run_steps,
+    sample_initial_block,
     sample_initial_copies,
     step_program,
+    words_needed,
 )
 from .f2linalg import (
     BitMatrix,
@@ -34,6 +40,10 @@ from .f2linalg import (
 )
 from .generators import (
     GenParams,
+    Stage,
+    _depth_opt_stages,
+    _gate_opt_stages,
+    _sign_stages,
     ceil_rounds,
     depth_opt_program,
     gate_opt_program,
@@ -63,68 +73,64 @@ class BitBatteryResult:
         return all(self.distinct)
 
 
-# uint64 words at which a block of trials closes, counting its padded
-# rows (mask, pattern and flips) and its copies.  Results do not depend
-# on it: every trial keeps its own streams, and batching is exact.
+# uint64 words a block of trials fills, counting the most rows its trials
+# can hold (mask, pattern and flips) and its copies.  Results do not
+# depend on it: every trial keeps its own streams, and batching is exact.
 _BLOCK_CELLS = 1 << 14
 
 
-def pack_block(row_sets: Sequence[Sequence[tuple[np.ndarray, ...]]]) -> tuple[np.ndarray, ...]:
-    """Stack per-trial row sets into zero-padded (B, R, ...) arrays.
+def _trial_words(n: int, t: int, *tables: list[Stage]) -> int:
+    """The most uint64 words one trial adds to a block: its copies, and
+    three per row word (mask, pattern, flips) of the programs of
+    ``tables``, which hold at most one row per kept group of a round."""
+    rows = sum(row.rounds * row.groups for table in tables for row in table)
+    return (3 * rows + t) * words_needed(n)
 
-    ``row_sets[b][j]`` is segment j of trial b: a tuple of arrays that
-    share their leading (row) axis, such as (masks, patterns, flips).
-    Segment j of every trial is padded to the longest segment j of the
-    block, so each segment starts at the same row in every trial and a
-    step boundary between segments stays one.  Returns one array per
-    tuple slot.  A padding row is all zero: it reads no site, flips none
-    and is off the diagonal, so it changes nothing.
+
+def pack_block(segments: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Join a block's row segments into one row set.
+
+    Each segment is a tuple of (B, R_j, ...) arrays, such as (masks,
+    patterns, flips, diagonal), zero-padded so that it starts at the
+    same row in every trial; a step boundary between segments then stays
+    one.  Returns one (B, R, ...) array per tuple slot.
     """
-    lengths = np.array([[len(seg[0]) for seg in trial] for trial in row_sets], dtype=np.int64)
-    widths = lengths.max(axis=0, initial=0)
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    out = tuple(
-        np.zeros((len(row_sets), offsets[-1]) + a.shape[1:], dtype=a.dtype) for a in row_sets[0][0]
-    )
-    for b, trial in enumerate(row_sets):
-        for j, seg in enumerate(trial):
-            lo = offsets[j]
-            for dst, src in zip(out, seg):
-                dst[b, lo:lo + len(src)] = src
-    return out
+    if len(segments) == 1:
+        return tuple(segments[0])
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*segments))
 
 
 def run_blocks(
     trials: int,
-    draw: Callable[[int], tuple[Sequence[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]],
+    draw: Callable[[int, int], tuple[Sequence[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]],
+    words: int,
     record: Sequence[int] = (),
+    shared: StepProgram | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run trials 0 .. trials-1 through the step kernel, a block at a time.
 
-    ``draw(i)``, called in trial order, gives trial i's row segments, each
-    (masks, patterns, flips, diagonal), and its initial (t, W) copies and
-    (t,) signs; all trials give as many segments and the same (t, W).  A
-    block, packed by ``pack_block``, runs in one ``copysim.run_steps``
-    call and closes once its padded rows plus its copies hold
-    ``_BLOCK_CELLS`` words.  Yields each trial's final copies, signs and
-    (t, len(record)) satisfaction of the ``record`` rows, in trial order.
+    ``draw(lo, hi)``, called in trial order, gives the block of trials
+    lo .. hi-1: its row segments, each (masks, patterns, flips, diagonal)
+    with a leading trial axis and zero-padded to the block's longest,
+    and its (B, t, W) initial copies and (B, t) signs.  Or ``shared``
+    holds one step program that every trial runs, grouped into steps
+    once; ``draw`` then gives no segments, and the rows count once.
+
+    A block, joined by ``pack_block``, runs in one ``copysim.run_steps``
+    call.  ``words`` is the most one trial can add to a block (see
+    ``_trial_words``); a block holds as many trials as first bring that
+    plus the shared rows to ``_BLOCK_CELLS`` words, at least one.
+    Yields each trial's final copies, signs and (t, len(record))
+    satisfaction of the ``record`` rows, in trial order.
     """
-    end = 0
-    while end < trials:
-        row_sets, copies, signs = [], [], []
-        cells = 0
-        widths = 0
-        while end < trials and cells < _BLOCK_CELLS:
-            rows, c, s = draw(end)
-            row_sets.append(rows)
-            copies.append(c)
-            signs.append(s)
-            widths = np.maximum(widths, [len(seg[0]) for seg in rows])
-            cells = len(row_sets) * (3 * int(widths.sum()) + len(c)) * c.shape[1]
-            end += 1
-        block_copies, block_signs = np.stack(copies), np.stack(signs)
-        recorded = run_steps(step_program(*pack_block(row_sets), record=record), block_copies, block_signs)
-        yield from zip(block_copies, block_signs, recorded)
+    fixed = 0 if shared is None else 3 * shared.masks.size
+    size = max(1, -(-(_BLOCK_CELLS - fixed) // words))
+    for lo in range(0, trials, size):
+        hi = min(trials, lo + size)
+        segments, copies, signs = draw(lo, hi)
+        program = step_program(*pack_block(segments), record=record) if shared is None else shared
+        recorded = run_steps(program, copies, signs)
+        yield from zip(copies, signs, recorded)
 
 
 def run_bit_battery(
@@ -151,21 +157,24 @@ def run_bit_battery(
     """
     if algorithm not in ("gate-opt", "depth-opt"):
         raise ValueError(f"unknown bit thermalizer {algorithm!r}")
-    program = gate_opt_program if algorithm == "gate-opt" else depth_opt_program
+    base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
+    if algorithm == "gate-opt":
+        program, table = gate_opt_program, _gate_opt_stages(base)
+    else:
+        program, table = depth_opt_program, _depth_opt_stages(base)
     result = BitBatteryResult(ensembles=[])
     per_gate_ccx = ccx_ladder_count(m)
-    base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
     # stage-1 gate-opt rounds read only [1, k], which no stage-1 round
     # writes: their satisfaction is the condition matrix
     record = range(base.rounds) if algorithm == "gate-opt" and diagnostics else ()
 
-    def draw(i: int):
-        prog = program(replace(base, seed=derive_seed(master_seed, "bit-circuit", i)))
-        result.ccx_counts.append(int(prog.fired.sum()) * per_gate_ccx)
-        initial = sample_initial_copies(n, k, t, stream(master_seed, "bit-copies", i))
-        return prog.rows(), initial.copies, initial.signs
+    def draw(lo: int, hi: int):
+        prog = program(base, [derive_seed(master_seed, "bit-circuit", i) for i in range(lo, hi)])
+        result.ccx_counts += (prog.fired.reshape(hi - lo, -1).sum(axis=1) * per_gate_ccx).tolist()
+        copies = sample_initial_block(n, k, t, [stream(master_seed, "bit-copies", i) for i in range(lo, hi)])
+        return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
 
-    for copies, signs, recorded in run_blocks(trials, draw, record):
+    for copies, signs, recorded in run_blocks(trials, draw, _trial_words(n, t, table), record):
         final = CopyEnsemble(n, copies, signs, check=False)
         if record:
             x_rank = rank(BitMatrix.from_dense(recorded))
@@ -193,14 +202,16 @@ def run_sign_trials(
     rows, one step, since sign gates write no site.
     """
     gate_counts: list[int] = []
+    words = _trial_words(n, t, _sign_stages(n, p, alpha, t, m))
 
-    def draw(i: int):
-        prog = sign_program(n, p, alpha, t, m, seed=derive_seed(master_seed, "sign-circuit", i))
-        gate_counts.append(int(prog.fired.sum()))
-        initial = sample_initial_copies(n, n, t, stream(master_seed, "sign-copies", i))
-        return prog.rows(), initial.copies, initial.signs
+    def draw(lo: int, hi: int):
+        seeds = [derive_seed(master_seed, "sign-circuit", i) for i in range(lo, hi)]
+        prog = sign_program(n, p, alpha, t, m, seeds=seeds)
+        gate_counts.extend(prog.fired.reshape(hi - lo, -1).sum(axis=1).tolist())
+        copies = sample_initial_block(n, n, t, [stream(master_seed, "sign-copies", i) for i in range(lo, hi)])
+        return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
 
-    vectors = [signs for _, signs, _ in run_blocks(trials, draw)]
+    vectors = [signs for _, signs, _ in run_blocks(trials, draw, words)]
     return SignTrialResult(vectors, ceil_rounds(alpha * t / p), gate_counts)
 
 
@@ -257,15 +268,18 @@ def moment_states(
     """
     initial = subsetstate.initial_subset_state(n, k)
     bit_params = GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit)
+    words = _trial_words(
+        n, len(initial.images), _gate_opt_stages(bit_params), _sign_stages(n, p_sign, alpha_sign, t, m_sign)
+    )
 
-    def draw(i: int):
-        bit_prog = gate_opt_program(replace(bit_params, seed=derive_seed(master_seed, "moment-bit", i)))
-        sign_prog = sign_program(
-            n, p_sign, alpha_sign, t, m_sign, seed=derive_seed(master_seed, "moment-sign", i)
-        )
-        return bit_prog.rows() + sign_prog.rows(), initial.images, initial.signs
+    def draw(lo: int, hi: int):
+        bit_prog = gate_opt_program(bit_params, [derive_seed(master_seed, "moment-bit", i) for i in range(lo, hi)])
+        sign_seeds = [derive_seed(master_seed, "moment-sign", i) for i in range(lo, hi)]
+        sign_prog = sign_program(n, p_sign, alpha_sign, t, m_sign, seeds=sign_seeds)
+        copies, signs = np.tile(initial.images, (hi - lo, 1, 1)), np.tile(initial.signs, (hi - lo, 1))
+        return bit_prog.rows() + sign_prog.rows(), copies, signs
 
-    for images, signs, _ in run_blocks(samples, draw):
+    for images, signs, _ in run_blocks(samples, draw, words):
         yield subsetstate.SubsetState(n, k, images, signs)
 
 

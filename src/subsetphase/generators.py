@@ -2,7 +2,8 @@
 
 Three constructions, all pure functions of (parameters, seed), each as
 an array program and as a ``Circuit`` that is an export view of that
-program:
+program.  A program is drawn for a block of seeds at once, its arrays
+behind a leading trial axis; one seed is a block of one:
 
 * ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
   thermalizer that keeps the total gate count low, as packed round
@@ -16,12 +17,16 @@ program:
 Each generator's layout is one stage table (``stage_table``): per stage,
 its rounds, its condition window, its firing bits per round, the groups
 it keeps and the width of its layers.  One reader, ``_draw_stages``,
-consumes every generator stream from that table.  Stage j reads its own
-stream ("gen", <algorithm>, j) as three blocks covering all of the
-stage's rounds: the firing bits (the target mask, or the apply bits),
-the polarity coins, then a float64 key matrix of shape (rounds, window).
-The window sites in ascending key order are a uniform arrangement whose
+consumes every generator stream from that table.  Stage j of a seed
+reads its own stream ("gen", <algorithm>, j) as three blocks covering
+all of the stage's rounds: the firing bits (the target mask, or the
+apply bits), the polarity coins, then a float64 key matrix of shape
+(rounds, window).  The reader opens the stage's stream of every seed of
+a block in turn and sorts the whole block's keys in one argsort.  The
+window sites in ascending key order are a uniform arrangement whose
 consecutive chunks of m are disjoint groups; a gate-opt round keeps one.
+Each program's ``rows()`` packs its block into zero-padded kernel rows
+in one pass, fired slots compacted in slot order (``_place``).
 Because the firing bits come first, the cost profiles read only them,
 and ``analysis.predicted_cost`` reads the same table for its
 expectations.
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer, ccx_ladder_count
-from .copysim import pack_bits, pack_sites, unpack_bits, words_needed
+from .copysim import pack_bits, pack_conditions, site_words, unpack_bits, words_needed
 from .rng import stream
 
 _EMPTY_LAYER = Layer(())
@@ -155,39 +160,75 @@ def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _draw_stages(algorithm: str, table: list[Stage], m: int, seed: int, firing_only: bool = False):
-    """Read the stream of every stage of ``table``, in order.
+def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
+    """One block per trial, stacked on a leading trial axis; a single
+    block is viewed, not copied."""
+    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
 
-    Stage j reads ("gen", ``algorithm``, j) in three blocks: the (rounds,
-    firing) uint8 firing bits, the (rounds, groups, m) polarity coins,
-    then a (rounds, window) float64 key matrix.  Yields ``(row, bits,
-    coins, sites)`` per stage, ``sites`` holding each round's groups as
-    1-based sites in ascending key order: the window's first groups·m
-    sites, in chunks of m.  With ``firing_only`` only the firing bits
-    are drawn (coins and sites are None).  This is the only consumer of
-    the generator streams.
+
+def _draw_stages(algorithm: str, table: list[Stage], m: int, seeds: Sequence[int], firing_only: bool = False):
+    """Read the stream of every stage of ``table`` for each of ``seeds``.
+
+    Per stage, each seed's stream ("gen", ``algorithm``, j) is read in
+    three blocks: the (rounds, firing) uint8 firing bits, the (rounds,
+    groups, m) polarity coins, then a (rounds, window) float64 key
+    matrix.  Yields ``(row, bits, coins, sites)`` per stage, each block
+    with a leading (B,) trial axis, ``sites`` holding each round's
+    groups as 1-based sites in ascending key order: the window's first
+    groups·m sites, in chunks of m, from one argsort over the block.
+    With ``firing_only`` only the firing bits are drawn (coins and sites
+    are None).  This is the only consumer of the generator streams.
     """
     for row in table:
-        rng = stream(seed, "gen", algorithm, row.stage)
-        bits = rng.integers(0, 2, size=(row.rounds, row.firing), dtype=np.uint8)
-        if firing_only:
-            yield row, bits, None, None
-            continue
         shape = (row.rounds, row.groups, m)
-        coins = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        order = np.argsort(rng.random((row.rounds, row.window)), axis=1)[:, : row.groups * m]
-        yield row, bits, coins, row.first + order.reshape(shape)
+        bits, coins = [], []
+        keys = None if firing_only else np.empty((len(seeds), row.rounds, row.window))
+        for b, seed in enumerate(seeds):
+            rng = stream(seed, "gen", algorithm, row.stage)
+            bits.append(rng.integers(0, 2, size=(row.rounds, row.firing), dtype=np.uint8))
+            if not firing_only:
+                coins.append(rng.integers(0, 2, size=shape, dtype=np.uint8))
+                rng.random(out=keys[b])
+        if firing_only:
+            yield row, _stacked(bits), None, None
+            continue
+        order = np.argsort(keys, axis=2)[:, :, : row.groups * m]
+        yield row, _stacked(bits), _stacked(coins), row.first + order.reshape((len(seeds),) + shape)
+
+
+def _place(fired: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the fired slots of a block.
+
+    ``fired`` (B, S) marks each trial's fired slots, and ``segment`` (S,)
+    numbers the segment of every slot, in nondecreasing order.  Fired
+    slots keep their slot order; segment j starts at the same row in
+    every trial, after the block's longest segment j-1, and a trial's
+    rows past its own are padding.  Returns the trial, slot and row of
+    every fired slot and the width of every segment.
+    """
+    trial, slot = np.nonzero(fired)
+    segments = int(segment[-1]) + 1
+    group = trial * segments + segment[slot]
+    counts = np.bincount(group, minlength=len(fired) * segments)
+    widths = counts.reshape(len(fired), segments).max(axis=0)
+    # fired slots come trial by trial, segment by segment, so each group's
+    # first slot sits after the counts of the groups before it
+    firsts = np.cumsum(counts) - counts
+    row = np.arange(len(trial)) - firsts[group] + (np.cumsum(widths) - widths)[segment[slot]]
+    return trial, slot, row, widths
 
 
 @dataclass(frozen=True)
 class GateOptProgram:
-    """Array form of one gate-opt thermalizer: its 2R rounds, stage 1 first.
+    """Array form of a block of B gate-opt thermalizers: their 2R rounds,
+    stage 1 first, behind a leading trial axis.
 
-    Round r flips every site set in ``flips[r]`` on the copies that match
-    ``patterns[r]`` on the sites set in ``masks[r]``; ``fired[r]`` counts
-    its targets (the round's gate count).  Rows are packed like copies
-    (site i in bit (i-1) % 64 of word (i-1) // 64).  A round's targets
-    never meet its own condition sites.
+    Round r of trial b flips every site set in ``flips[b, r]`` on the
+    copies that match ``patterns[b, r]`` on the sites set in
+    ``masks[b, r]``; ``fired[b, r]`` counts its targets (the round's gate
+    count).  Rows are packed like copies (site i in bit (i-1) % 64 of
+    word (i-1) // 64).  A round's targets never meet its own condition
+    sites.
     """
 
     masks: np.ndarray
@@ -196,8 +237,9 @@ class GateOptProgram:
     fired: np.ndarray
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The rounds as one (masks, patterns, flips, diagonal) segment."""
-        return [(self.masks, self.patterns, self.flips, np.zeros(len(self.masks), dtype=bool))]
+        """The rounds as one (masks, patterns, flips, diagonal) segment of
+        (B, 2R, ...) arrays."""
+        return [(self.masks, self.patterns, self.flips, np.zeros(self.masks.shape[:-1], dtype=bool))]
 
 
 def _gate_opt_stages(gp: GenParams) -> list[Stage]:
@@ -209,26 +251,28 @@ def _gate_opt_stages(gp: GenParams) -> list[Stage]:
     return stage_table("gate-opt", gp.n, gp.k, gp.t, gp.alpha, gp.m)
 
 
-def gate_opt_program(gp: GenParams) -> GateOptProgram:
-    """Draw the two-stage serial bit thermalizer as packed round arrays:
-    the rounds of its stages in order.  A round's controls are its m
-    sites in ascending order, the j-th smallest taking the j-th coin.
-    ``gate_opt_thermalizer`` is a view of the result."""
+def gate_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> GateOptProgram:
+    """Draw the two-stage serial bit thermalizer of every seed in
+    ``seeds`` (``gp.seed`` alone by default) as packed round arrays: the
+    rounds of its stages in order.  A round's controls are its m sites
+    in ascending order, the j-th smallest taking the j-th coin.
+    ``gate_opt_thermalizer`` is a view of the one-seed result."""
+    seeds = (gp.seed,) if seeds is None else seeds
     n, rounds = gp.n, gp.rounds
     sites, coins = [], []
-    targets = np.zeros((2 * rounds, n), dtype=np.uint8)
-    for row, mask, stage_coins, stage_sites in _draw_stages("gate-opt", _gate_opt_stages(gp), gp.m, gp.seed):
+    targets = np.zeros((len(seeds), 2 * rounds, n), dtype=np.uint8)
+    for row, mask, stage_coins, stage_sites in _draw_stages("gate-opt", _gate_opt_stages(gp), gp.m, seeds):
         lo = row.first_target - 1
-        targets[row.stage * rounds : (row.stage + 1) * rounds, lo : lo + row.firing] = mask
-        sites.append(np.sort(stage_sites[:, 0], axis=1))
-        coins.append(stage_coins[:, 0])
-    sites = np.concatenate(sites)
-    masks, patterns = pack_sites(np.array((sites, sites * np.concatenate(coins))), words_needed(n))
+        targets[:, row.stage * rounds : (row.stage + 1) * rounds, lo : lo + row.firing] = mask
+        sites.append(np.sort(stage_sites[:, :, 0], axis=2))
+        coins.append(stage_coins[:, :, 0])
+    sites = np.concatenate(sites, axis=1)
+    masks, patterns = pack_conditions(sites, np.concatenate(coins, axis=1), words_needed(n))
     return GateOptProgram(
         masks=masks,
         patterns=patterns,
         flips=pack_bits(targets),
-        fired=targets.sum(axis=1, dtype=np.int64),
+        fired=targets.sum(axis=2, dtype=np.int64),
     )
 
 
@@ -244,9 +288,9 @@ def gate_opt_thermalizer(gp: GenParams) -> Circuit:
     """
     prog = gate_opt_program(gp)
     n, k, rounds = gp.n, gp.k, gp.rounds
-    condition = unpack_bits(prog.masks, n)
-    pattern = unpack_bits(prog.patterns, n)
-    targets = unpack_bits(prog.flips, n)
+    condition = unpack_bits(prog.masks[0], n)
+    pattern = unpack_bits(prog.patterns[0], n)
+    targets = unpack_bits(prog.flips[0], n)
     # every round has exactly m condition sites; nonzero walks them in
     # ascending order, row by row
     cond_rows, cond_cols = np.nonzero(condition)
@@ -294,13 +338,17 @@ def depth_opt_stage_count(n: int, k: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class DepthOptProgram:
-    """Array form of one staged thermalizer: its fired slots.
+    """Array form of a block of B staged thermalizers: their fired slots,
+    behind a leading trial axis.
 
-    Slots run stage by stage, round by round and slot by slot, the order
-    of ``depth_opt_thermalizer``'s gates.  Slot i flips site
-    ``targets[i]`` on the copies that hold ``values[i]`` on the sites
-    ``sites[i]`` (its group's m sites, 1-based, in draw order).
-    ``fired[j, r]`` counts the fired slots of round r of stage j, the
+    A trial's slots run stage by stage, round by round and slot by slot,
+    the order of ``depth_opt_thermalizer``'s gates.  Slot i of trial b
+    flips site ``targets[b, i]`` on the copies that hold ``values[b, i]``
+    on the sites ``sites[b, i]`` (its group's m sites, 1-based, in draw
+    order).  Stage j starts at the same slot in every trial, after the
+    block's most fired slots of stage j-1; the slots a trial leaves
+    empty hold site 0 and target 0, so there are none at B = 1.
+    ``fired[b, j, r]`` counts the fired slots of round r of stage j, the
     closing stage last.
     """
 
@@ -311,38 +359,42 @@ class DepthOptProgram:
     fired: np.ndarray
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """One (masks, patterns, flips, diagonal) segment per stage: its
-        fired slots in order, packed like copies, none of them diagonal."""
+        """One (masks, patterns, flips, diagonal) segment of (B, R, ...)
+        arrays: the slots packed like copies, none of them diagonal.  An
+        empty slot packs to a zero row, which changes nothing."""
         W = words_needed(self.n)
-        masks, patterns = pack_sites(np.array((self.sites, self.sites * self.values)), W)
-        flips = pack_sites(self.targets[:, None], W)
-        diagonal = np.zeros(len(masks), dtype=bool)
-        bounds = np.cumsum(self.fired.sum(axis=1))[:-1]
-        return list(zip(*(np.split(a, bounds) for a in (masks, patterns, flips, diagonal))))
+        masks, patterns = pack_conditions(self.sites, self.values, W)
+        return [(masks, patterns, site_words(W)[self.targets], np.zeros(masks.shape[:-1], dtype=bool))]
 
 
-def depth_opt_program(gp: GenParams) -> DepthOptProgram:
-    """Draw the staged thermalizer as arrays of its fired slots.
+def depth_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> DepthOptProgram:
+    """Draw the staged thermalizer of every seed in ``seeds`` (``gp.seed``
+    alone by default) as arrays of its fired slots.
 
-    Each stage's fired slots are selected from its blocks in one step:
-    slot x of a round conditions on the round's x-th group and targets
-    the stage's x-th target site.  ``depth_opt_thermalizer`` is a view of
-    the result.
+    Slot x of a round conditions on the round's x-th group and targets
+    the stage's x-th target site.  The fired slots of every stage and
+    trial are selected from the block in one step.
+    ``depth_opt_thermalizer`` is a view of the one-seed result.
     """
-    sites, values, targets, fired = [], [], [], []
-    for row, apply, coins, stage_sites in _draw_stages("depth-opt", _depth_opt_stages(gp), gp.m, gp.seed):
-        on = apply == 1
-        sites.append(stage_sites[on])
-        values.append(coins[on])
-        targets.append(row.first_target + np.nonzero(on)[1])
-        fired.append(on.sum(axis=1))
-    return DepthOptProgram(
-        n=gp.n,
-        sites=np.concatenate(sites),
-        values=np.concatenate(values),
-        targets=np.concatenate(targets),
-        fired=np.array(fired, dtype=np.int64),
-    )
+    seeds = (gp.seed,) if seeds is None else seeds
+    B, m = len(seeds), gp.m
+    on, sites, values, targets, segment, fired = [], [], [], [], [], []
+    for row, apply, coins, stage_sites in _draw_stages("depth-opt", _depth_opt_stages(gp), m, seeds):
+        on.append(apply.reshape(B, -1) == 1)
+        sites.append(stage_sites.reshape(B, -1, m))
+        values.append(coins.reshape(B, -1, m))
+        targets.append(np.tile(np.arange(row.first_target, row.first_target + row.firing), row.rounds))
+        segment.append(np.full(row.rounds * row.firing, row.stage))
+        fired.append(on[-1].reshape(B, row.rounds, row.firing).sum(axis=2))
+    trial, slot, place, widths = _place(np.concatenate(on, axis=1), np.concatenate(segment))
+    shape = (B, int(widths.sum()))
+    out_sites, out_values = np.zeros(shape + (m,), dtype=np.int64), np.zeros(shape + (m,), dtype=np.uint8)
+    out_targets = np.zeros(shape, dtype=np.int64)
+    out_sites[trial, place] = np.concatenate(sites, axis=1)[trial, slot]
+    out_values[trial, place] = np.concatenate(values, axis=1)[trial, slot]
+    out_targets[trial, place] = np.concatenate(targets)[slot]
+    return DepthOptProgram(n=gp.n, sites=out_sites, values=out_values, targets=out_targets,
+                           fired=np.stack(fired, axis=1))
 
 
 def depth_opt_thermalizer(gp: GenParams) -> Circuit:
@@ -361,16 +413,16 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     so the unit-cost depth is (growth stages + 1) * rounds for all seeds.
     """
     prog = depth_opt_program(gp)
-    order = np.argsort(prog.sites, axis=1)
-    sites = np.take_along_axis(prog.sites, order, axis=1).tolist()
-    values = np.take_along_axis(prog.values, order, axis=1).tolist()
+    order = np.argsort(prog.sites[0], axis=1)
+    sites = np.take_along_axis(prog.sites[0], order, axis=1).tolist()
+    values = np.take_along_axis(prog.values[0], order, axis=1).tolist()
     gates = [
         Gate(MCX, tuple(map(ControlTerm, s, v)), target)
-        for s, v, target in zip(sites, values, prog.targets.tolist())
+        for s, v, target in zip(sites, values, prog.targets[0].tolist())
     ]
     layers: list[Layer] = []
     end = 0
-    for count in prog.fired.ravel().tolist():
+    for count in prog.fired[0].ravel().tolist():
         layers.append(Layer(gates[end : end + count], check=False) if count else _EMPTY_LAYER)
         end += count
     stages_meta = [
@@ -391,12 +443,13 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
 
 @dataclass(frozen=True)
 class SignProgram:
-    """Array form of one sign thermalizer: L layers of p slots.
+    """Array form of a block of B sign thermalizers: L layers of p slots,
+    behind a leading trial axis.
 
-    Slot (l, x) holds its group's m sites in draw order (``sites[l, x]``,
-    1-based) and their required values.  When ``fired[l, x]`` it is one
-    signed MCZ whose signed target is the group's last drawn site and
-    whose controls are the others.
+    Slot (l, x) of trial b holds its group's m sites in draw order
+    (``sites[b, l, x]``, 1-based) and their required values.  When
+    ``fired[b, l, x]`` it is one signed MCZ whose signed target is the
+    group's last drawn site and whose controls are the others.
     """
 
     n: int
@@ -405,12 +458,22 @@ class SignProgram:
     fired: np.ndarray
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """One (masks, patterns, flips, diagonal) segment: the fired slots,
-        layer by layer, each the full condition of its signed MCZ, packed
-        like copies, as a diagonal row that flips nothing."""
-        sites = self.sites[self.fired]
-        masks, patterns = pack_sites(np.array((sites, sites * self.values[self.fired])), words_needed(self.n))
-        return [(masks, patterns, np.zeros_like(masks), np.ones(len(masks), dtype=bool))]
+        """One (masks, patterns, flips, diagonal) segment of (B, R, ...)
+        arrays: each trial's fired slots, layer by layer, each the full
+        condition of its signed MCZ, packed like copies, as a diagonal row
+        that flips nothing.  Rows past a trial's fired slots are zero and
+        off the diagonal, so they change nothing."""
+        B, W = len(self.fired), words_needed(self.n)
+        slots = self.fired[0].size
+        trial, slot, place, [width] = _place(self.fired.reshape(B, -1), np.zeros(slots, dtype=np.intp))
+        # packing every slot costs less than gathering the fired ones' sites
+        packed = np.array(pack_conditions(self.sites, self.values, W)).reshape(2, B * slots, W)
+        conditions = np.zeros((2, B * width, W), dtype=np.uint64)
+        conditions[:, trial * width + place] = packed[:, trial * slots + slot]
+        diagonal = np.zeros(B * width, dtype=bool)
+        diagonal[trial * width + place] = True
+        masks, patterns = conditions.reshape(2, B, width, W)
+        return [(masks, patterns, np.zeros_like(masks), diagonal.reshape(B, width))]
 
 
 def _sign_stages(n: int, p: int, alpha: float, t: int, m: int) -> list[Stage]:
@@ -429,11 +492,15 @@ def _sign_stages(n: int, p: int, alpha: float, t: int, m: int) -> list[Stage]:
     return stage_table("sign", n, 0, t, alpha, m, p)
 
 
-def sign_program(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> SignProgram:
-    """Draw the parallel sign thermalizer as slot arrays: its one stage's
-    blocks, the groups arranging the whole window.  ``sign_thermalizer``
-    is a view of the result."""
-    [(_, apply, coins, sites)] = _draw_stages("sign", _sign_stages(n, p, alpha, t, m), m, seed)
+def sign_program(
+    n: int, p: int, alpha: float, t: int, m: int, seed: int = 0, seeds: Sequence[int] | None = None
+) -> SignProgram:
+    """Draw the parallel sign thermalizer of every seed in ``seeds``
+    (``seed`` alone by default) as slot arrays: its one stage's blocks,
+    the groups arranging the whole window.  ``sign_thermalizer`` is a
+    view of the one-seed result."""
+    seeds = (seed,) if seeds is None else seeds
+    [(_, apply, coins, sites)] = _draw_stages("sign", _sign_stages(n, p, alpha, t, m), m, seeds)
     return SignProgram(n, sites, coins, apply == 1)
 
 
@@ -448,9 +515,9 @@ def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0
     degenerates to a single-site sign-flip condition.
     """
     prog = sign_program(n, p, alpha, t, m, seed)
-    n_layers = prog.fired.shape[0]
+    n_layers = prog.fired.shape[1]
     layers: list[Layer] = []
-    for sites, values, fired in zip(prog.sites.tolist(), prog.values.tolist(), prog.fired.tolist()):
+    for sites, values, fired in zip(prog.sites[0].tolist(), prog.values[0].tolist(), prog.fired[0].tolist()):
         gates = [
             Gate(
                 SIGNED_MCZ,
@@ -494,7 +561,7 @@ def _cost_profile(algorithm: str, table: list[Stage], m: int, seed: int) -> Cost
     condition, an empty one a unit idle step."""
     cost = ccx_ladder_count(m)
     gates = busy = layers = 0
-    for row, bits, _, _ in _draw_stages(algorithm, table, m, seed, firing_only=True):
+    for row, bits, _, _ in _draw_stages(algorithm, table, m, (seed,), firing_only=True):
         fired = bits.reshape(-1, row.width).sum(axis=1)
         gates += int(fired.sum())
         busy += np.count_nonzero(fired)

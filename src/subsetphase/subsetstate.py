@@ -19,7 +19,6 @@ from itertools import combinations_with_replacement
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from . import copysim
 from .circuit import Circuit
@@ -215,7 +214,10 @@ def empirical_moment(samples: Iterable[SubsetState], t: int) -> MomentMatrix:
 
     def flush(block: list[np.ndarray]):
         # rank-k update on the upper triangle only (phi.T is a free
-        # F-contiguous view of the C-contiguous block)
+        # F-contiguous view of the C-contiguous block); scipy.linalg loads
+        # here, so only runs past d_sym pay for importing it
+        from scipy.linalg.blas import dsyrk
+
         nonlocal acc
         psi = np.stack(block)
         phi = weights * psi[:, idx[:, 0]]

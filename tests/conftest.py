@@ -100,25 +100,28 @@ def prmc(
 FIRST_LAYOUT_RNG_KIND = "philox4x64/sha256-derived-streams"
 
 
-def first_layout_draw_stages(algorithm, table, m, seed, firing_only=False):
-    """``generators._draw_stages``'s per-stage blocks, read from the first
-    layout's one stream of ``algorithm`` across all stages."""
-    rng = stream(seed, "gen", algorithm)
+def first_layout_draw_stages(algorithm, table, m, seeds, firing_only=False):
+    """``generators._draw_stages``'s per-stage blocks, each seed's read
+    from the first layout's one stream of ``algorithm`` across all
+    stages."""
+    rngs = [stream(seed, "gen", algorithm) for seed in seeds]
     for row in table:
         groups = 1 if algorithm == "gate-opt" else row.window // m
         firing = row.firing if algorithm == "gate-opt" else groups
         offsets, coins = [], []
-        for _ in range(row.rounds):
-            offsets.append(rng.permutation(row.window)[: m * groups])
-            coins.append(rng.integers(0, 2, size=m * groups + firing, dtype=np.uint8))
-        offsets, coins = np.array(offsets), np.array(coins)
-        bits = coins[:, m * groups : m * groups + row.firing]
+        for rng in rngs:
+            for _ in range(row.rounds):
+                offsets.append(rng.permutation(row.window)[: m * groups])
+                coins.append(rng.integers(0, 2, size=m * groups + firing, dtype=np.uint8))
+        offsets = np.array(offsets).reshape(len(rngs), row.rounds, -1)
+        coins = np.array(coins).reshape(len(rngs), row.rounds, -1)
+        bits = coins[:, :, m * groups : m * groups + row.firing]
         if firing_only:
             yield row, bits, None, None
             continue
         kept = m * row.groups
-        shape = (row.rounds, row.groups, m)
-        yield row, bits, coins[:, :kept].reshape(shape), row.first + offsets[:, :kept].reshape(shape)
+        shape = (len(rngs), row.rounds, row.groups, m)
+        yield row, bits, coins[:, :, :kept].reshape(shape), row.first + offsets[:, :, :kept].reshape(shape)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subsetphase import copysim
 from subsetphase.circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer
 from subsetphase.copysim import (
     CopyEnsemble,
@@ -9,9 +10,11 @@ from subsetphase.copysim import (
     apply_gate,
     compile_circuit,
     pack_bits,
+    pack_conditions,
     round_probes,
     run_steps,
     sample_initial_copies,
+    site_words,
     step_program,
     unpack_bits,
     words_needed,
@@ -65,6 +68,54 @@ class TestSampleInitialCopies:
         e = sample_initial_copies(100, 80, 10, stream(4, "wide"))
         assert e.copies.shape == (10, words_needed(100))
         assert e.is_distinct()
+
+
+def reference_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-trial sampler, written out: a permutation prefix of a small
+    domain; otherwise the first t distinct strings of pools of
+    max(2t, 64) draws, in draw order."""
+    copies = np.zeros((t, words_needed(n)), dtype=np.uint64)
+    if k <= 12:
+        copies[:, 0] = rng.permutation(1 << k)[:t]
+        return copies
+    kept: list[bytes] = []
+    while len(kept) < t:
+        raw = np.frombuffer(rng.bytes(max(2 * t, 64) * 8), dtype=np.uint64)
+        for value in (raw & np.uint64((1 << k) - 1 if k < 64 else 2**64 - 1)).tolist():
+            if value not in kept:
+                kept.append(value)
+    copies[:, 0] = kept[:t]
+    return copies
+
+
+class TestSampleInitialBlock:
+    # dense; sparse; sparse at full width; sparse with a quarter of the
+    # trials colliding within their first t draws (t(t-1)/2 / 2^13)
+    SHAPES = [(12, 12, 6), (40, 10, 50), (64, 24, 200), (64, 64, 32), (64, 13, 64)]
+
+    @pytest.mark.parametrize("n,k,t", SHAPES)
+    def test_equals_per_trial_sampler(self, monkeypatch, n, k, t):
+        fallbacks = []
+        first_distinct = copysim._first_distinct
+
+        def counted(pool, *args):
+            fallbacks.append(len(pool))
+            return first_distinct(pool, *args)
+
+        monkeypatch.setattr(copysim, "_first_distinct", counted)
+        trials = 200
+        block = copysim.sample_initial_block(n, k, t, [stream(20, "block", i) for i in range(trials)])
+        assert block.shape == (trials, t, words_needed(n))
+        dedupes = len(fallbacks)
+        for i in range(trials):
+            one = sample_initial_copies(n, k, t, stream(20, "block", i))
+            assert np.array_equal(block[i], one.copies)
+            assert np.array_equal(block[i], reference_initial_copies(n, k, t, stream(20, "block", i)))
+        if (n, k, t) == (64, 13, 64):
+            # 1 - exp(-64·63/2 / 2^13) = 0.218 of the trials take the fallback
+            assert 0.1 * trials < dedupes < 0.35 * trials
+        elif k > 12:
+            assert dedupes == 0
 
 
 class TestApplyGate:
@@ -294,8 +345,9 @@ class TestConditionMatrix:
 
 
 def gate_opt_steps(programs, record=0):
-    """Step program of a batch of gate-opt programs, one row set per trial."""
-    masks, patterns, flips = (np.stack([getattr(p, f) for p in programs]) for f in ("masks", "patterns", "flips"))
+    """Step program of a batch of one-seed gate-opt programs, one row set
+    per trial."""
+    masks, patterns, flips = (np.concatenate([getattr(p, f) for p in programs]) for f in ("masks", "patterns", "flips"))
     return step_program(masks, patterns, flips, record=range(record))
 
 
@@ -337,6 +389,28 @@ class TestPackBits:
         assert np.array_equal(unpack_bits(words, n), bits)
         ints = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
         assert CopyEnsemble(n, words, np.ones(7, dtype=np.int8), check=False).to_ints() == ints
+
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_pack_conditions_equals_bit_loop(self, W):
+        # conditions of distinct sites, padded with site 0 at random places
+        rng = stream(19, "sites", W)
+        sites = np.array([rng.permutation(64 * W + 1)[:5] for _ in range(40)]).reshape(2, 4, 5, 5)
+        values = rng.integers(0, 2, size=sites.shape, dtype=np.uint8)
+        masks, patterns = pack_conditions(sites, values, W)
+        assert masks.shape == patterns.shape == (2, 4, 5, W) and masks.dtype == patterns.dtype == np.uint64
+
+        def words(value):
+            return [(value >> (64 * w)) & (2**64 - 1) for w in range(W)]
+
+        for index in np.ndindex(sites.shape[:-1]):
+            terms = [(int(s), int(v)) for s, v in zip(sites[index], values[index]) if s]
+            assert [int(w) for w in masks[index]] == words(sum(1 << (s - 1) for s, _ in terms))
+            assert [int(w) for w in patterns[index]] == words(sum(v << (s - 1) for s, v in terms))
+        for site in range(64 * W + 1):
+            assert [int(w) for w in site_words(W)[site]] == words(1 << (site - 1) if site else 0)
+        empty = pack_conditions(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.uint8), W)
+        assert [a.tolist() for a in empty] == [[[0] * W] * 3] * 2
 
 
 class TestEnsembleBasics:

@@ -3,7 +3,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import reference_moment_states
 
-from subsetphase import cli, drivers, subsetstate
+from subsetphase import cli, copysim, drivers, generators, subsetstate
 from subsetphase.circuit import ccx_equivalent_count, ccx_ladder_count
 from subsetphase.copysim import (
     apply_circuit,
@@ -105,8 +105,8 @@ class TestDepthOptBatteryMatchesCircuitPath:
     @pytest.mark.parametrize(
         "n,k,t,m,alpha,trials,seed,cells",
         [
-            # two words; about 570 padded slot rows a trial: blocks of some
-            # 250 trials, the last partial
+            # two words; at most 1116 slot rows a trial: blocks of 131
+            # trials, the last partial
             (100, 30, 6, 3, 2.0, 300, 26, 250 * 3500),
             (64, 24, 8, 2, 6.0, 12, 27, None),  # exactly one word
             (20, 8, 3, 3, 2.0, 40, 28, None),  # targets truncated at n
@@ -140,22 +140,23 @@ def words(*values):
 
 
 class TestPackBlock:
-    def test_pads_each_segment_to_the_block_maximum(self):
+    def test_joins_segments_at_the_same_row_in_every_trial(self):
         got = drivers.pack_block([
-            [(words(1), np.array([True])), (words(2, 3), np.array([False, True]))],
-            [(words(4, 5), np.array([True, True])), (words(6), np.array([True]))],
+            (np.stack([words(1, 0), words(4, 5)]), np.array([[True, False], [True, True]])),
+            (np.stack([words(2, 3), words(6, 0)]), np.array([[False, True], [True, False]])),
         ])
         assert [a.shape for a in got] == [(2, 4, 1), (2, 4)]
         assert got[0][:, :, 0].tolist() == [[1, 0, 2, 3], [4, 5, 6, 0]]
         assert got[1].tolist() == [[True, False, False, True], [True, True, True, False]]
 
     def test_padding_rows_change_nothing(self):
-        # one trial's single flip row padded against another trial's three;
-        # every row reads site 1 and wants it set
-        masks, patterns, flips = drivers.pack_block([
-            [(words(1), words(1), words(2))],
-            [(words(1, 1, 1), words(1, 1, 1), words(2, 4, 8))],
-        ])
+        # one trial's single flip row padded with zero rows against another
+        # trial's three; every real row reads site 1 and wants it set
+        masks, patterns, flips = drivers.pack_block([(
+            np.stack([words(1, 0, 0), words(1, 1, 1)]),
+            np.stack([words(1, 0, 0), words(1, 1, 1)]),
+            np.stack([words(2, 0, 0), words(2, 4, 8)]),
+        )])
         copies = np.array([[[1], [0]], [[1], [0]]], dtype=np.uint64)
         run_steps(step_program(masks, patterns, flips), copies)
         assert copies[:, :, 0].tolist() == [[3, 0], [15, 0]]
@@ -245,6 +246,72 @@ class TestBlockSizeInvariance:
 
         default, one = at_default_and_one_trial_blocks(monkeypatch, block_sizes, sim, 30)
         assert one == default
+
+
+@pytest.fixture
+def stage_reads(monkeypatch):
+    """The generator tag of every ``generators._draw_stages`` call."""
+    tags = []
+    draw_stages = generators._draw_stages
+
+    def counted(algorithm, *args, **kwargs):
+        tags.append(algorithm)
+        return draw_stages(algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(generators, "_draw_stages", counted)
+    return tags
+
+
+class TestOneReadPerBlock:
+    """Every driver reads each generator's streams once per block of
+    trials, not once per trial."""
+
+    @pytest.mark.parametrize("algorithm", ["gate-opt", "depth-opt"])
+    def test_bit_battery(self, block_sizes, stage_reads, algorithm):
+        drivers.run_bit_battery(algorithm, 40, 12, 3, 2, 3.0, 300, 51)
+        assert len(block_sizes) > 1 and max(block_sizes) > 1
+        assert stage_reads == [algorithm] * len(block_sizes)
+
+    def test_sign_trials(self, block_sizes, stage_reads):
+        drivers.run_sign_trials(64, 10, 9.0, 32, 6, 100, 52)
+        assert len(block_sizes) > 1 and max(block_sizes) > 1
+        assert stage_reads == ["sign"] * len(block_sizes)
+
+    def test_moment_states(self, block_sizes, stage_reads):
+        list(drivers.moment_states(6, 4, 2, 300, 53, 16.0, 2, 24.0, 3, 2))
+        assert len(block_sizes) > 1 and max(block_sizes) > 1
+        assert stage_reads == ["gate-opt", "sign"] * len(block_sizes)
+
+
+def test_sim_groups_its_rows_once(monkeypatch, block_sizes, tmp_path):
+    # every sim trial runs the one compiled circuit: grouped into steps
+    # once, however many blocks the trials take
+    groupings = []
+
+    def counted(step_program):
+        def grouped(*args, **kwargs):
+            groupings.append(step_program)
+            return step_program(*args, **kwargs)
+        return grouped
+
+    # ``compile_circuit`` calls the one in copysim, ``run_blocks`` its import
+    for module in (copysim, drivers):
+        monkeypatch.setattr(module, "step_program", counted(module.step_program))
+    monkeypatch.setattr(drivers, "_BLOCK_CELLS", 500)
+    runner = CliRunner()
+    circuit, report = tmp_path / "c.json", tmp_path / "r.json"
+    res = runner.invoke(cli.cli, [
+        "gen", "--algorithm", "depth-opt", "--n", "40", "--k", "10", "--t", "4", "--alpha", "2",
+        "--m", "2", "--seed", "9", "--out", str(circuit),
+    ])
+    assert res.exit_code == 0, res.output
+    groupings.clear()
+    res = runner.invoke(cli.cli, [
+        "sim", "--circuit", str(circuit), "--trials", "25", "--seed", "10", "--report", str(report),
+    ])
+    assert res.exit_code == 0, res.output
+    assert len(block_sizes) > 1 and max(block_sizes) > 1 and sum(block_sizes) == 25
+    assert len(groupings) == 1
 
 
 class TestCcxCounts:

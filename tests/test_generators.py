@@ -246,21 +246,24 @@ class TestGateOptProgram:
     def test_round_arrays(self, n, k, t, alpha, m):
         gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=4)
         prog = gate_opt_program(gp)
-        shape = (2 * gp.rounds, (n + 63) // 64)
+        # one seed is a block of one trial
+        shape = (1, 2 * gp.rounds, (n + 63) // 64)
         for a in (prog.masks, prog.patterns, prog.flips):
             assert a.shape == shape and a.dtype == np.uint64
-        cond, flips = unpack_bits(prog.masks, n), unpack_bits(prog.flips, n)
+        assert prog.fired.shape == shape[:2]
+        masks, patterns, flips, fired = prog.masks[0], prog.patterns[0], prog.flips[0], prog.fired[0]
+        cond, flip_bits = unpack_bits(masks, n), unpack_bits(flips, n)
         assert np.all(cond.sum(axis=1) == m)
-        assert np.all(prog.patterns & ~prog.masks == 0)
+        assert np.all(patterns & ~masks == 0)
         # a round's targets never meet its own condition
-        assert np.all(prog.masks & prog.flips == 0)
-        assert np.array_equal(prog.fired, flips.sum(axis=1))
+        assert np.all(masks & flips == 0)
+        assert np.array_equal(fired, flip_bits.sum(axis=1))
         stage1, stage2 = slice(0, gp.rounds), slice(gp.rounds, None)
-        assert not cond[stage1, k:].any() and not flips[stage1, :k].any()
-        assert not cond[stage2, :k].any() and not flips[stage2, k:].any()
+        assert not cond[stage1, k:].any() and not flip_bits[stage1, :k].any()
+        assert not cond[stage2, :k].any() and not flip_bits[stage2, k:].any()
         [(masks, patterns, flips, diagonal)] = prog.rows()
         assert masks is prog.masks and patterns is prog.patterns and flips is prog.flips
-        assert diagonal.shape == (2 * gp.rounds,) and not diagonal.any()
+        assert diagonal.shape == shape[:2] and not diagonal.any()
 
     def test_rejects_m_above_windows(self):
         with pytest.raises(ValueError):
@@ -366,7 +369,8 @@ class TestDepthOptProgram:
     def test_rows_equal_compiled_circuit(self, n, k, t, alpha, m):
         for seed in range(3):
             gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
-            rows = [np.concatenate(a) for a in zip(*depth_opt_program(gp).rows())]
+            [rows] = depth_opt_program(gp).rows()
+            rows = [a[0] for a in rows]
             want = compile_circuit(prmc_depth_opt_reference(gp).layers, words_needed(n))
             assert np.array_equal(rows[0], want.masks)
             assert np.array_equal(rows[1], want.patterns)
@@ -378,15 +382,14 @@ class TestDepthOptProgram:
         ref = prmc_depth_opt_reference(gp)
         prog = depth_opt_program(gp)
         stages = depth_opt_stage_count(36, 9, 3) + 1
-        assert prog.fired.shape == (stages, gp.rounds)
+        assert prog.fired.shape == (1, stages, gp.rounds)
         assert prog.fired.ravel().tolist() == [len(layer.gates) for layer in ref.layers]
-        assert prog.sites.shape == prog.values.shape == (ref.gate_count, 3)
-        assert prog.targets.shape == (ref.gate_count,)
-        segments = prog.rows()
-        assert len(segments) == stages
-        for (masks, patterns, flips, diagonal), rows in zip(segments, prog.fired.sum(axis=1)):
-            assert masks.shape == patterns.shape == flips.shape == (rows, 1)
-            assert diagonal.shape == (rows,)
+        assert prog.sites.shape == prog.values.shape == (1, ref.gate_count, 3)
+        assert prog.targets.shape == (1, ref.gate_count)
+        # the stages run back to back in one segment
+        [(masks, patterns, flips, diagonal)] = prog.rows()
+        assert masks.shape == patterns.shape == flips.shape == (1, ref.gate_count, 1)
+        assert diagonal.shape == (1, ref.gate_count)
 
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
@@ -465,7 +468,7 @@ class TestCostProfiles:
     def test_sign_profile_equals_program_costs(self, n, p, alpha, t, m):
         cost = ccx_ladder_count(m)
         for seed in range(3):
-            fired = sign_program(n, p, alpha, t, m, seed).fired.sum(axis=1)
+            fired = sign_program(n, p, alpha, t, m, seed).fired[0].sum(axis=1)
             gates = int(fired.sum())
             decomposed = int(np.where(fired > 0, cost, 1).sum())
             want = CostMeasurement(gates, len(fired), decomposed, gates * cost)
@@ -528,8 +531,8 @@ class TestStageDraws:
         picks = [[], []]
         for seed in range(200):
             gp = GenParams(n=9, k=5, t=8, alpha=4.0, m=m, seed=seed)
-            for stage, (_, _, _, sites) in enumerate(_draw_stages("gate-opt", _gate_opt_stages(gp), m, seed)):
-                picks[stage].append(np.sort(sites[:, 0], axis=1))
+            for stage, (_, _, _, sites) in enumerate(_draw_stages("gate-opt", _gate_opt_stages(gp), m, [seed])):
+                picks[stage].append(np.sort(sites[0, :, 0], axis=1))
         for stage, window in enumerate((5, 4)):
             rows = np.concatenate(picks[stage])
             assert np.all(np.diff(rows, axis=1) > 0)
@@ -544,7 +547,7 @@ class TestStageDraws:
         kept = [[] for _ in stages]
         for seed in range(100):
             gp = GenParams(n=n, k=k, t=16, alpha=16.0, m=m, seed=seed)
-            for j, (_, _, _, sites) in enumerate(_draw_stages("depth-opt", _depth_opt_stages(gp), m, seed)):
+            for j, (_, _, _, sites) in enumerate(_draw_stages("depth-opt", _depth_opt_stages(gp), m, [seed])):
                 kept[j].append(sites.reshape(gp.rounds, -1))
         for row, rows in zip(stages, kept):
             assert_uniform(np.concatenate(rows) - row.first, math.perm(row.window, row.groups * m))
@@ -565,7 +568,7 @@ class TestStageDraws:
             gp = GenParams(n=20, k=8, t=4, alpha=4.0, m=2, seed=seed)
             for name, table, m in (("gate-opt", _gate_opt_stages(gp), 2), ("depth-opt", _depth_opt_stages(gp), 2),
                                    ("sign", _sign_stages(20, 6, 16.0, 16, 3), 3)):
-                for _, bits, coins, _ in _draw_stages(name, table, m, seed):
+                for _, bits, coins, _ in _draw_stages(name, table, m, [seed]):
                     blocks[f"{name} firing"].append(bits.ravel())
                     blocks[f"{name} coins"].append(coins.ravel())
         for name, bits in blocks.items():
@@ -620,7 +623,7 @@ class TestSignThermalizer:
             [rows] = sign_program(n, p, alpha, t, m, seed).rows()
             want = compile_circuit(sign_thermalizer(n, p, alpha, t, m, seed).layers, words_needed(n))
             for got, a in zip(rows, (want.masks, want.patterns, want.flips, want.diagonal)):
-                assert np.array_equal(got, a)
+                assert np.array_equal(got[0], a)
 
     @pytest.mark.parametrize("n,p,alpha,t,m", [(24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1)])
     def test_export_view_equals_prmc_reference(self, n, p, alpha, t, m):
@@ -649,3 +652,64 @@ def prmc_sign_reference(n: int, p: int, alpha: float, t: int, m: int, seed: int)
     return Circuit(n=n, layers=tuple(layers), generator="sign",
                    params={"n": n, "p": p, "t": t, "alpha": alpha, "m": m}, seed=seed,
                    extra={"layer_count": len(layers), "slots_per_layer": p})
+
+
+SEEDS = [0, 7, 123, 2**40 + 5, 99]
+
+
+def assert_rows_equal(block_rows, single_rows, b, keep):
+    """Row set b of a block program's one segment, its rows ``keep`` only,
+    equals a one-seed program's one segment."""
+    [block], [single] = block_rows, single_rows
+    for got, want in zip(block, single):
+        assert np.array_equal(got[b][keep], want[0])
+
+
+class TestBlockPrograms:
+    """A block program over a list of seeds holds, trial for trial, the
+    one-seed program of each seed."""
+
+    # the gate-opt and depth-opt test shapes; a two-word depth-opt shape
+    BITS = TestGateOptProgram.SHAPES + TestDepthOptProgram.SHAPES + [(100, 30, 6, 3.0, 3)]
+
+    @pytest.mark.parametrize("n,k,t,alpha,m", BITS)
+    def test_gate_and_depth_opt(self, n, k, t, alpha, m):
+        base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
+        builds = [depth_opt_program]
+        if m <= min(k, n - k):
+            builds.append(gate_opt_program)
+        for build in builds:
+            block = build(base, SEEDS)
+            for b, seed in enumerate(SEEDS):
+                single = build(GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed))
+                assert np.array_equal(block.fired[b], single.fired[0])
+                if build is gate_opt_program:
+                    for f in ("masks", "patterns", "flips"):
+                        assert np.array_equal(getattr(block, f)[b], getattr(single, f)[0])
+                    keep = slice(None)
+                else:
+                    # each stage starts at the same slot in every trial; the
+                    # empty slots between hold target 0
+                    keep = block.targets[b] > 0
+                    for f in ("sites", "values", "targets"):
+                        assert np.array_equal(getattr(block, f)[b][keep], getattr(single, f)[0])
+                    assert not block.sites[b][~keep].any() and not block.values[b][~keep].any()
+                assert_rows_equal(block.rows(), single.rows(), b, keep)
+
+    @pytest.mark.parametrize("n,p,alpha,t,m", [
+        (24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1), (2, 1, 1.0, 1, 2),
+        (64, 10, 9.0, 32, 6),  # the signs workload
+        (64, 10, 9.0, 256, 6),  # criterion 6(b): 231 layers
+        (130, 20, 6.0, 8, 6),  # two words
+    ])
+    def test_sign(self, n, p, alpha, t, m):
+        block = sign_program(n, p, alpha, t, m, seeds=SEEDS)
+        for b, seed in enumerate(SEEDS):
+            single = sign_program(n, p, alpha, t, m, seed)
+            for f in ("sites", "values", "fired"):
+                assert np.array_equal(getattr(block, f)[b], getattr(single, f)[0])
+            # rows past a trial's fired slots are zero and off the diagonal
+            [(masks, patterns, flips, diagonal)] = block.rows()
+            keep = diagonal[b]
+            assert not masks[b][~keep].any() and not patterns[b][~keep].any() and not flips.any()
+            assert_rows_equal(block.rows(), single.rows(), b, keep)
