@@ -89,8 +89,8 @@ def reference_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -
 
 
 class TestSampleInitialBlock:
-    # dense; sparse; sparse at full width; sparse with a quarter of the
-    # trials colliding within their first t draws (t(t-1)/2 / 2^13)
+    # two dense shapes; sparse at k=24 and at full width; sparse with about
+    # a fifth of the trials colliding within their first t draws
     SHAPES = [(12, 12, 6), (40, 10, 50), (64, 24, 200), (64, 64, 32), (64, 13, 64)]
 
     @pytest.mark.parametrize("n,k,t", SHAPES)

@@ -688,9 +688,14 @@ class TestBlockPrograms:
                         assert np.array_equal(getattr(block, f)[b], getattr(single, f)[0])
                     keep = slice(None)
                 else:
-                    # each stage starts at the same slot in every trial; the
+                    # each stage starts at the same slot in every trial, after
+                    # the block's most fired slots of the stage before; the
                     # empty slots between hold target 0
                     keep = block.targets[b] > 0
+                    counts = block.fired.sum(axis=2)
+                    starts = np.cumsum(counts.max(axis=0)) - counts.max(axis=0)
+                    slots = [start + np.arange(count) for start, count in zip(starts, counts[b])]
+                    assert np.array_equal(np.flatnonzero(keep), np.concatenate(slots))
                     for f in ("sites", "values", "targets"):
                         assert np.array_equal(getattr(block, f)[b][keep], getattr(single, f)[0])
                     assert not block.sites[b][~keep].any() and not block.values[b][~keep].any()
