@@ -153,13 +153,15 @@ class CopyEnsemble:
 
 def random_bitstrings(rngs: Sequence[np.random.Generator], count: int, nbits: int, n: int) -> np.ndarray:
     """(B, count, words_needed(n)) uint64 with the low ``nbits`` bits
-    uniform, row set b drawn from ``rngs[b]``."""
+    uniform, row set b drawn from ``rngs[b]``: the next count ·
+    words_needed(nbits) raw words of its bit generator, the words
+    ``rng.bytes`` would read."""
     W = words_needed(n)
     out = np.zeros((len(rngs), count, W), dtype=np.uint64)
     w_rand = words_needed(nbits) if nbits else 0
     if w_rand:
-        raw = b"".join(rng.bytes(count * w_rand * 8) for rng in rngs)
-        out[..., :w_rand] = np.frombuffer(raw, dtype=np.uint64).reshape(len(rngs), count, w_rand)
+        for b, rng in enumerate(rngs):
+            out[b, :, :w_rand] = rng.bit_generator.random_raw(count * w_rand).reshape(count, w_rand)
         out[..., :w_rand] &= _word_masks(nbits)[:w_rand]
     return out
 

@@ -21,8 +21,10 @@ consumes every generator stream from that table.  Stage j of a seed
 reads its own stream ("gen", <algorithm>, j) as three blocks covering
 all of the stage's rounds: the firing bits (the target mask, or the
 apply bits), the polarity coins, then a float64 key matrix of shape
-(rounds, window).  The reader opens the stage's stream of every seed of
-a block in turn and sorts the whole block's keys in one argsort.  The
+(rounds, window).  The reader reads the raw words of the stage's stream
+of every seed of a block, one ``random_raw`` call each, cuts the three
+blocks out of them as those ``Generator`` calls would read them, and
+sorts the whole block's keys in one argsort.  The
 window sites in ascending key order are a uniform arrangement whose
 consecutive chunks of m are disjoint groups; a gate-opt round keeps one.
 Each program's ``rows()`` packs its block into zero-padded kernel rows
@@ -46,7 +48,7 @@ import numpy as np
 
 from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate, Layer, ccx_ladder_count
 from .copysim import pack_bits, pack_conditions, site_words, unpack_bits, words_needed
-from .rng import stream
+from .rng import stream_words
 
 _EMPTY_LAYER = Layer(())
 
@@ -160,10 +162,11 @@ def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
-    """One block per trial, stacked on a leading trial axis; a single
-    block is viewed, not copied."""
-    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+def _firing(data: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The fair uint8 bits that ``integers(0, 2, count, uint8)`` reads
+    from ``data``, each trial's raw bytes, from uint32 ``start`` on: the
+    top bit of each byte."""
+    return data[:, 4 * start : 4 * start + count] >> 7
 
 
 def _draw_stages(algorithm: str, table: list[Stage], m: int, seeds: Sequence[int], firing_only: bool = False):
@@ -176,24 +179,39 @@ def _draw_stages(algorithm: str, table: list[Stage], m: int, seeds: Sequence[int
     with a leading (B,) trial axis, ``sites`` holding each round's
     groups as 1-based sites in ascending key order: the window's first
     groups·m sites, in chunks of m, from one argsort over the block.
-    With ``firing_only`` only the firing bits are drawn (coins and sites
+    With ``firing_only`` only the firing bits are read (coins and sites
     are None).  This is the only consumer of the generator streams.
+
+    A stage reads the block's raw words at once (``rng.stream_words``)
+    and cuts the three blocks out of them as ``integers``, ``integers``
+    and ``random`` would read them (the ``rng`` docstring).  The words
+    are shifted in place and dropped before the argsort, so a stage
+    holds them once.
     """
+    B = len(seeds)
     for row in table:
-        shape = (row.rounds, row.groups, m)
-        bits, coins = [], []
-        keys = None if firing_only else np.empty((len(seeds), row.rounds, row.window))
-        for b, seed in enumerate(seeds):
-            rng = stream(seed, "gen", algorithm, row.stage)
-            bits.append(rng.integers(0, 2, size=(row.rounds, row.firing), dtype=np.uint8))
-            if not firing_only:
-                coins.append(rng.integers(0, 2, size=shape, dtype=np.uint8))
-                rng.random(out=keys[b])
+        shape = (B, row.rounds, row.groups, m)
+        n_bits, n_coins = row.rounds * row.firing, row.rounds * row.groups * m
+        bit_u32, coin_u32 = -(-n_bits // 4), 0 if firing_only else -(-n_coins // 4)
+        first_key = -(-(bit_u32 + coin_u32) // 2)
+        count = first_key + (0 if firing_only else row.rounds * row.window)
+        words = stream_words(seeds, "gen", algorithm, row.stage, count=count)
+        data = words.astype("<u8", copy=False).view(np.uint8)
         if firing_only:
-            yield row, _stacked(bits), None, None
+            data >>= 7
+            yield row, data[:, :n_bits].reshape(B, row.rounds, row.firing), None, None
             continue
+        bits = _firing(data, 0, n_bits).reshape(B, row.rounds, row.firing)
+        coins = _firing(data, bit_u32, n_coins).reshape(shape)
+        # (w >> 11) * 2^-53 in float64; the exact power-of-two scale leaves
+        # the argsort as it is
+        keys = words[:, first_key:]
+        keys >>= 11
+        keys = keys.astype(np.float64).reshape(B, row.rounds, row.window)
+        del words, data
         order = np.argsort(keys, axis=2)[:, :, : row.groups * m]
-        yield row, _stacked(bits), _stacked(coins), row.first + order.reshape((len(seeds),) + shape)
+        del keys
+        yield row, bits, coins, row.first + order.reshape(shape)
 
 
 def _place(fired: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

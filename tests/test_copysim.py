@@ -118,6 +118,25 @@ class TestSampleInitialBlock:
             assert dedupes == 0
 
 
+    def test_top_ups_read_the_stream_on(self):
+        # a pool of one repeated row keeps one copy: every other copy comes
+        # from top-ups of max(2t, 64) strings each, read on from the
+        # stream as rng.bytes reads it; 60 of a 2^6 domain takes several
+        n, k, t = 70, 6, 60
+        top_ups = []
+        for i in range(20):
+            got = copysim._first_distinct(np.zeros((64, 2), dtype=np.uint64), stream(21, "top-up", i), n, k, t)
+            rng, kept, reads = stream(21, "top-up", i), [0], 0
+            while len(kept) < t:
+                reads += 1
+                for value in (np.frombuffer(rng.bytes(max(2 * t, 64) * 8), dtype=np.uint64) & np.uint64(63)).tolist():
+                    if value not in kept:
+                        kept.append(value)
+            assert got[:, 0].tolist() == kept[:t] and not got[:, 1].any()
+            top_ups.append(reads)
+        assert max(top_ups) >= 2
+
+
 class TestApplyGate:
     def test_ccx_flips_only_matching_copies(self):
         # controls at sites 2 and 3 requiring 1, target site 5: only the

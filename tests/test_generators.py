@@ -41,9 +41,9 @@ from subsetphase.generators import (
     sign_thermalizer,
 )
 from subsetphase.analysis import predicted_cost
-from subsetphase.rng import stream
+from subsetphase.rng import stream, stream_key
 
-from conftest import prmc, rmc
+from conftest import prmc, rmc, stage_blocks
 
 
 class TestCeilRounds:
@@ -475,28 +475,67 @@ class TestCostProfiles:
             assert sign_cost_profile(n, p, alpha, t, m, seed) == want
 
     def test_profiles_read_only_the_firing_bits(self, monkeypatch):
-        # every stage stream gives one block, its firing bits, and no keys
-        calls = []
-        real = generators.stream
+        # every stage stream gives one raw read, the words of its firing
+        # bits and no keys: ceil(ceil(N1/4)/2) words for N1 firing bits
+        reads = []
+        real = generators.stream_words
 
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
+        def recording(seeds, *tags, count):
+            reads.append((tags, count))
+            return real(seeds, *tags, count=count)
 
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(self.rng, name)
+        def firing_words(algorithm, table):
+            return [(("gen", algorithm, row.stage), -(-(-(-row.rounds * row.firing // 4)) // 2)) for row in table]
 
-        monkeypatch.setattr(generators, "stream", lambda *tags: Recording(real(*tags)))
+        monkeypatch.setattr(generators, "stream_words", recording)
         gp = GenParams(n=64, k=24, t=8, alpha=6.0, m=2, seed=1)
         gate_opt_cost_profile(gp)
-        assert calls == ["integers"] * 2
-        calls.clear()
+        assert reads == firing_words("gate-opt", _gate_opt_stages(gp))
+        reads.clear()
         depth_opt_cost_profile(gp)
-        assert calls == ["integers"] * (depth_opt_stage_count(64, 24, 2) + 1)
-        calls.clear()
+        assert len(reads) == depth_opt_stage_count(64, 24, 2) + 1
+        assert reads == firing_words("depth-opt", _depth_opt_stages(gp))
+        reads.clear()
         sign_cost_profile(64, 10, 9.0, 32, 6, seed=1)
-        assert calls == ["integers"]
+        assert reads == firing_words("sign", _sign_stages(64, 10, 9.0, 32, 6)) == [(("gen", "sign", 0), 37)]
+
+
+class TestRawStageReads:
+    """``_draw_stages`` cuts its blocks out of one raw read of each stage
+    stream; they must be what the layout's ``Generator`` calls read from
+    the same stream."""
+
+    # (rounds, firing, groups, m, window); the bits fill ceil(N1/4)
+    # uint32s and the coins ceil(N2/4): an odd first count leaves a high
+    # half that the coins start on, an odd sum a half that the keys skip
+    SHAPES = [(1, 3, 1, 2, 4), (3, 3, 2, 2, 5), (2, 5, 1, 3, 7), (2, 4, 1, 2, 3), (4, 4, 2, 3, 6),
+              (7, 3, 1, 1, 2), (29, 10, 10, 6, 60), (48, 40, 1, 2, 24)]
+
+    @staticmethod
+    def halves(rounds, firing, groups, m):
+        bit_u32, coin_u32 = -(-rounds * firing // 4), -(-rounds * groups * m // 4)
+        return bit_u32 % 2, (bit_u32 + coin_u32) % 2
+
+    def test_grid_carries_and_skips_halves(self):
+        halves = {self.halves(*shape[:4]) for shape in self.SHAPES}
+        assert halves == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    @pytest.mark.parametrize("rounds,firing,groups,m,window", SHAPES)
+    def test_blocks_equal_generator_calls(self, rounds, firing, groups, m, window):
+        row = generators.Stage(3, rounds, 2, window, firing, groups, firing)
+        seeds = list(range(8))
+        # Philox rounds the keys of about half the streams (tests/test_rng.py)
+        mixed = [len({w >> 63 for w in stream_key(seed, "gen", "raw", 3)}) == 2 for seed in seeds]
+        assert any(mixed) and not all(mixed)
+        [(_, bits, coins, sites)] = _draw_stages("raw", [row], m, seeds)
+        [(_, firing_bits, _, _)] = _draw_stages("raw", [row], m, seeds, firing_only=True)
+        assert bits.dtype == coins.dtype == firing_bits.dtype == np.uint8
+        for b, seed in enumerate(seeds):
+            want_bits, want_coins, keys = stage_blocks(stream(seed, "gen", "raw", 3), rounds, firing, groups * m, window)
+            assert np.array_equal(bits[b], want_bits)
+            assert np.array_equal(firing_bits[b], want_bits)
+            assert np.array_equal(coins[b].reshape(rounds, -1), want_coins)
+            assert np.array_equal(sites[b].reshape(rounds, -1), 2 + np.argsort(keys, axis=1)[:, : groups * m])
 
 
 # False-alarm rate of each distribution check below on a correct

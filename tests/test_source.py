@@ -71,18 +71,21 @@ def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
 
 READER = "_draw_stages"
 PROGRAMS = {"gate-opt": "gate_opt_program", "depth-opt": "depth_opt_program", "sign": "sign_program"}
+# the stream openers: a Generator, and one raw read of a block of streams
+OPENERS = ("stream", "stream_words")
 
 
 def test_each_generator_stream_is_consumed_in_one_function():
     # one reader opens every generator stream, one per (generator, stage):
     # the stage is the last tag, read from the stage table's row
     users = set()
-    for call, where in _calls_by_function("stream"):
-        args = [a.value if isinstance(a, ast.Constant) else None for a in call.args]
-        if "gen" in args[:-1]:
-            assert len(args) == args.index("gen") + 3, f"{where}: a gen stream without a stage tag"
-            assert getattr(call.args[-1], "attr", None) == "stage", f"{where}: the last tag is not a stage"
-            users.add(where)
+    for opener in OPENERS:
+        for call, where in _calls_by_function(opener):
+            args = [a.value if isinstance(a, ast.Constant) else None for a in call.args]
+            if "gen" in args[:-1]:
+                assert len(args) == args.index("gen") + 3, f"{where}: a gen stream without a stage tag"
+                assert getattr(call.args[-1], "attr", None) == "stage", f"{where}: the last tag is not a stage"
+                users.add(where)
     assert users == {f"generators.{READER}"}, f"generator streams opened in {sorted(users)}"
 
 
@@ -104,27 +107,21 @@ def _loop_depths(fn: ast.FunctionDef) -> list[tuple[ast.AST, int]]:
 
 
 def test_generators_draw_stage_blocks_not_rounds():
-    # a stage stream is read in whole blocks: every Generator call sits in
-    # the loop that opens the stage's stream, never in a loop inside it
+    # a stage's streams are read in one raw read for the whole block of
+    # seeds: the reader's only opener sits in its stage loop, never in a
+    # loop inside it (per seed or per round), and nothing in generators
+    # draws through a Generator
     tree = ast.parse(GENERATORS.read_text(), filename=str(GENERATORS))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert not {fn.name for fn in functions} & {"_rmc_draw", "_prmc_draw"}, "a per-round sampler is back"
-    calls = []
-    for fn in functions:
-        depths = _loop_depths(fn)
-        streams = {
-            target.id: depth
-            for node, depth in depths
-            if isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "id", None) == "stream"
-            for target in node.targets
-        }
-        calls += [
-            (fn.name, node.lineno, depth - streams[node.func.value.id])
-            for node, depth in depths
-            if isinstance(node, ast.Call) and getattr(getattr(node.func, "value", None), "id", None) in streams
-        ]
-    assert {name for name, _, _ in calls} == {READER}
-    assert [(name, line) for name, line, inner in calls if inner] == [], "Generator calls in a per-round loop"
+    opened = [
+        (fn.name, node.func.id, depth)
+        for fn in functions
+        for node, depth in _loop_depths(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in OPENERS
+    ]
+    assert {name for name, _, _ in opened} == {READER}
+    assert {(opener, depth) for _, opener, depth in opened} == {("stream_words", 1)}, opened
 
 
 def _tag(call: ast.Call):
@@ -163,6 +160,12 @@ def test_analysis_reads_the_layout_from_generators():
         elif isinstance(node, ast.Attribute) and node.attr in banned:
             found.append((node.attr, node.lineno))
     assert found == [], f"analysis.py works out the layout itself: {found}"
+
+
+def test_bit_generators_are_built_in_rng_only():
+    # every stream is named, keyed and opened in ``rng``
+    built = {where.partition(".")[0] for name in ("Philox", "Generator") for _, where in _calls_by_function(name)}
+    assert built == {"rng"}, f"bit generators built in {sorted(built)}"
 
 
 KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
