@@ -109,11 +109,6 @@ def ccx_ladder_count(condition_size: int) -> int:
     return max(1, 2 * condition_size - 3)
 
 
-def ccx_ladder_ancillas(condition_size: int) -> int:
-    """Virtual ancillas needed by the ladder (cost accounting only)."""
-    return max(0, condition_size - 2)
-
-
 class Layer:
     """Gates with pairwise disjoint site support, applicable in parallel.
 
@@ -240,11 +235,22 @@ def _gate_to_obj(g: Gate) -> dict:
     return obj
 
 
+def int_value(obj: dict, key: str, default: int | None = None) -> int:
+    """``obj[key]``, or ``default`` when the key is absent, as an int.  A
+    value that no int holds, such as a JSON 1e400 (infinity) or a word,
+    raises ValueError naming the key."""
+    value = obj[key] if default is None or key in obj else default
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _gate_from_obj(obj: dict) -> Gate:
-    controls = tuple(ControlTerm(int(t["pos"]), int(t["val"])) for t in obj["controls"])
+    controls = tuple(ControlTerm(int_value(t, "pos"), int_value(t, "val")) for t in obj["controls"])
     kind = obj["kind"]
-    target_value = int(obj["target_val"]) if kind == SIGNED_MCZ else None
-    return Gate(kind=kind, controls=controls, target=int(obj["target"]), target_value=target_value)
+    target_value = int_value(obj, "target_val") if kind == SIGNED_MCZ else None
+    return Gate(kind=kind, controls=controls, target=int_value(obj, "target"), target_value=target_value)
 
 
 def circuit_to_obj(c: Circuit, tool_info: dict | None = None) -> dict:
@@ -265,7 +271,7 @@ def circuit_from_obj(obj: dict) -> Circuit:
     """Circuit from its JSON object; malformed input raises ValueError
     naming the layer, gate and key at fault."""
     try:
-        n, layer_objs = int(obj["n"]), obj["layers"]
+        n, layer_objs = int_value(obj, "n"), obj["layers"]
     except KeyError as e:
         raise ValueError(f"circuit is missing key {e.args[0]!r}") from None
     except TypeError:
@@ -294,7 +300,7 @@ def circuit_from_obj(obj: dict) -> Circuit:
         layers=tuple(layers),
         generator=obj.get("generator", "unknown"),
         params=params,
-        seed=int(obj.get("seed", 0)),
+        seed=int_value(obj, "seed", 0),
         extra=extra,
     )
 

@@ -26,6 +26,7 @@ from .circuit import (
     DECOMPOSED,
     UNIT,
     depth,
+    int_value,
     load_circuit,
     save_circuit,
     validate,
@@ -148,8 +149,8 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
     if problems:
         raise click.ClickException(f"circuit file is malformed: {problems[0]}")
     n = circuit.n
-    k = int(circuit.params.get("k", n))
-    t = t_override if t_override is not None else int(circuit.params.get("t", 1))
+    k = int_value(circuit.params, "k", n)
+    t = t_override if t_override is not None else int_value(circuit.params, "t", 1)
     probes = None
     if diagnostics == "rank":
         if "rounds" not in circuit.extra:
@@ -383,6 +384,14 @@ def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict,
         raise StrictFailure("one or more verification tests failed under --strict")
 
 
+def _grid_count(name: str, text: str) -> int:
+    """A grid value of ``name`` that must be a positive int."""
+    value = int(text)
+    if value < 1:
+        raise click.BadParameter(f"grid value {name}={value} must be at least 1")
+    return value
+
+
 def _parse_grid(spec: str) -> dict[str, list[str]]:
     grid: dict[str, list[str]] = {}
     for clause in spec.split(";"):
@@ -425,11 +434,11 @@ def scaling(grid_spec, algorithm, seed, out):
         raise click.BadParameter(f"grid takes one p value, got p={','.join(grid['p'])}")
     rows = []
     for n_s in grid["n"]:
-        n = int(n_s)
+        n = _grid_count("n", n_s)
         for t_s in grid["t"]:
-            t = int(t_s)
+            t = _grid_count("t", t_s)
             for m_s in grid.get("m", ["auto"]):
-                m = max(2, math.ceil(math.log2(t))) if m_s == "auto" else int(m_s)
+                m = max(2, math.ceil(math.log2(t))) if m_s == "auto" else _grid_count("m", m_s)
                 for alpha_s in grid.get("alpha", ["auto"]):
                     alpha = float(math.ceil(2 * math.log(n))) if alpha_s == "auto" else float(alpha_s)
                     for k_s in grid.get("k", ["64"]):
@@ -475,6 +484,9 @@ def main() -> None:
         sys.exit(1)
     except (ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
+        sys.exit(1)
+    except MemoryError as e:
+        click.echo(f"error: out of memory: {e}", err=True)
         sys.exit(1)
 
 

@@ -15,15 +15,15 @@ state at the step's start; XOR commutes and sign products commute, so
 their flips and sign flips apply in any order.  Splitting a step further
 is exact too, which lets the kernel evaluate bounded chunks of rows and
 lets a batch of trials, each with its own rows, split on their union.
-The rule is the same at every word count.  ``apply_gate`` is the
-per-gate reference the kernel is tested against.
+The rule is the same at every word count.  The tests check the kernel
+against a per-gate reference, ``apply_gate`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,17 +59,6 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``pack_bits``: (rows, W) uint64 to (rows, n) uint8."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
-
-
-def _pack_terms_words(terms: Iterable[ControlTerm], W: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mask = [0] * W
-    pat = [0] * W
-    for c in terms:
-        w, b = divmod(c.position - 1, 64)
-        mask[w] |= 1 << b
-        if c.required_value:
-            pat[w] |= 1 << b
-    return tuple(mask), tuple(pat)
 
 
 def _full_condition(g: Gate) -> list[ControlTerm]:
@@ -222,40 +211,6 @@ def _first_distinct(pool: np.ndarray, rng: np.random.Generator, n: int, k: int, 
         # rows kept so far are distinct and come first, so the first
         # occurrences keep them and append new rows in draw order
         pool = np.concatenate([copies, random_bitstrings([rng], max(2 * t, 64), k, n)[0]])
-
-
-def apply_gate(e: CopyEnsemble, g: Gate) -> CopyEnsemble:
-    """Apply one gate to every copy (reference semantics, one gate at a time).
-
-    MCX flips the target bit of every copy matching all controls; the
-    signed MCZ negates the sign of every copy matching all controls and
-    holding ``target_value`` at the target site.
-    """
-    for c in g.controls:
-        if not 1 <= c.position <= e.n:
-            raise ValueError("gate sites must lie in [1, n]")
-    if not 1 <= g.target <= e.n:
-        raise ValueError("gate sites must lie in [1, n]")
-    out = e.clone()
-    W = out.copies.shape[1]
-    if g.kind == MCX:
-        mask, pat = _pack_terms_words(g.controls, W)
-        sat = _satisfied_words(out.copies, mask, pat)
-        w, b = divmod(g.target - 1, 64)
-        out.copies[sat, w] ^= np.uint64(1 << b)
-    else:
-        mask, pat = _pack_terms_words(_full_condition(g), W)
-        sat = _satisfied_words(out.copies, mask, pat)
-        out.signs[sat] = -out.signs[sat]
-    return out
-
-
-def _satisfied_words(copies: np.ndarray, mask: tuple[int, ...], pat: tuple[int, ...]) -> np.ndarray:
-    sat = np.ones(copies.shape[0], dtype=bool)
-    for w, (mw, pw) in enumerate(zip(mask, pat)):
-        if mw:
-            sat &= (copies[:, w] & np.uint64(mw)) == np.uint64(pw)
-    return sat
 
 
 # Largest temporary of the step kernel, in (trial, copy, row, word)
@@ -464,6 +419,6 @@ def round_probes(c: Circuit, stage: int = 1) -> list[tuple[int, list[ControlTerm
                 probes.append((int(r["layer"]), terms))
         except KeyError as e:
             raise ValueError(f"metadata round {i}: missing key {e.args[0]!r}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"metadata round {i}: {e}") from None
     return probes

@@ -26,7 +26,6 @@ from .copysim import (
     StepProgram,
     run_steps,
     sample_initial_block,
-    sample_initial_copies,
     step_program,
     words_needed,
 )
@@ -170,7 +169,7 @@ def run_bit_battery(
 
     def draw(lo: int, hi: int):
         prog = program(base, [derive_seed(master_seed, "bit-circuit", i) for i in range(lo, hi)])
-        result.ccx_counts += (prog.fired.reshape(hi - lo, -1).sum(axis=1) * per_gate_ccx).tolist()
+        result.ccx_counts += (prog.fired.sum(axis=1) * per_gate_ccx).tolist()
         copies = sample_initial_block(n, k, t, [stream(master_seed, "bit-copies", i) for i in range(lo, hi)])
         return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
 
@@ -207,38 +206,12 @@ def run_sign_trials(
     def draw(lo: int, hi: int):
         seeds = [derive_seed(master_seed, "sign-circuit", i) for i in range(lo, hi)]
         prog = sign_program(n, p, alpha, t, m, seeds=seeds)
-        gate_counts.extend(prog.fired.reshape(hi - lo, -1).sum(axis=1).tolist())
+        gate_counts.extend(prog.fired.sum(axis=1).tolist())
         copies = sample_initial_block(n, n, t, [stream(master_seed, "sign-copies", i) for i in range(lo, hi)])
         return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
 
     vectors = [signs for _, signs, _ in run_blocks(trials, draw, words)]
     return SignTrialResult(vectors, ceil_rounds(alpha * t / p), gate_counts)
-
-
-def oracle_bit_ensembles(n: int, t: int, trials: int, master_seed: int) -> list[CopyEnsemble]:
-    """Direct sampler of the thermalized target: t distinct uniform
-    n-bit strings per trial (no circuit involved)."""
-    return [
-        sample_initial_copies(n, n, t, stream(master_seed, "oracle-bits", i)) for i in range(trials)
-    ]
-
-
-def frozen_initial_ensembles(n: int, k: int, t: int, trials: int, master_seed: int) -> list[CopyEnsemble]:
-    """Unevolved initial ensembles; the thermalization tests must fail on
-    these."""
-    return [
-        sample_initial_copies(n, k, t, stream(master_seed, "frozen-bits", i))
-        for i in range(trials)
-    ]
-
-
-def oracle_sign_vectors(t: int, trials: int, master_seed: int) -> list[np.ndarray]:
-    """Uniform +-1 vectors, the target distribution of the sign tests."""
-    out = []
-    for i in range(trials):
-        rng = stream(master_seed, "oracle-signs", i)
-        out.append((1 - 2 * rng.integers(0, 2, size=t)).astype(np.int8))
-    return out
 
 
 def ensemble_subsets(ensembles: Sequence[CopyEnsemble]) -> list[tuple[int, ...]]:

@@ -2,17 +2,18 @@
 
 Three constructions, all pure functions of (parameters, seed), each as
 an array program and as a ``Circuit`` that is an export view of that
-program.  A program is drawn for a block of seeds at once, its arrays
-behind a leading trial axis; one seed is a block of one:
+program.  Every program is one ``Program``: kernel rows (mask, pattern,
+flips, diagonal), each row's target site and each round's gate count,
+drawn for a block of seeds at once behind a leading trial axis; one
+seed is a block of one.
 
 * ``gate_opt_program`` / ``gate_opt_thermalizer``: two-stage serial bit
-  thermalizer that keeps the total gate count low, as packed round
-  arrays.
+  thermalizer that keeps the total gate count low, one row per round.
 * ``depth_opt_program`` / ``depth_opt_thermalizer``: staged parallel bit
   thermalizer that grows the control region geometrically to keep the
-  depth low, as arrays of its fired slots.
+  depth low, one row per fired slot.
 * ``sign_program`` / ``sign_thermalizer``: parallel signed-MCZ rounds
-  that randomize the sign bits, as slot arrays.
+  that randomize the sign bits, one diagonal row per fired slot.
 
 Each generator's layout is one stage table (``stage_table``): per stage,
 its rounds, its condition window, its firing bits per round, the groups
@@ -24,14 +25,14 @@ apply bits), the polarity coins, then a float64 key matrix of shape
 (rounds, window).  The reader reads the raw words of the stage's stream
 of every seed of a block, one ``random_raw`` call each, cuts the three
 blocks out of them as those ``Generator`` calls would read them, and
-sorts the whole block's keys in one argsort.  The
-window sites in ascending key order are a uniform arrangement whose
-consecutive chunks of m are disjoint groups; a gate-opt round keeps one.
-Each program's ``rows()`` packs its block into zero-padded kernel rows
-in one pass, fired slots compacted in slot order (``_place``).
-Because the firing bits come first, the cost profiles read only them,
-and ``analysis.predicted_cost`` reads the same table for its
-expectations.
+sorts the whole block's keys in one argsort.  The window sites in
+ascending key order are a uniform arrangement whose consecutive chunks
+of m are disjoint groups; a gate-opt round keeps one.  Each program
+function packs its block's rows as it draws them, in one pass, fired
+slots compacted in slot order (``_place``), and every view reads the
+conditions back from those rows (``_conditions``).  Because the firing
+bits come first, the cost profiles read only them, and
+``analysis.predicted_cost`` reads the same table for its expectations.
 
 Generation is fully decoupled from simulation: the drivers run the
 programs, ``gen`` writes the ``Circuit`` views (plus round/stage
@@ -83,8 +84,7 @@ class GenParams:
             raise ValueError("t must be positive")
         if self.m < 1:
             raise ValueError("m must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check_alpha(self.alpha)
 
     @property
     def rounds(self) -> int:
@@ -94,8 +94,9 @@ class GenParams:
         return {"n": self.n, "k": self.k, "t": self.t, "alpha": self.alpha, "m": self.m}
 
 
-def _sorted_controls(terms: list[ControlTerm]) -> tuple[ControlTerm, ...]:
-    return tuple(sorted(terms, key=lambda c: c.position))
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 class Stage(NamedTuple):
@@ -237,27 +238,59 @@ def _place(fired: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class GateOptProgram:
-    """Array form of a block of B gate-opt thermalizers: their 2R rounds,
-    stage 1 first, behind a leading trial axis.
+class Program:
+    """Array form of a block of B thermalizers: kernel rows behind a
+    leading trial axis, packed like copies (site i in bit (i-1) % 64 of
+    word (i-1) // 64).
 
-    Round r of trial b flips every site set in ``flips[b, r]`` on the
-    copies that match ``patterns[b, r]`` on the sites set in
-    ``masks[b, r]``; ``fired[b, r]`` counts its targets (the round's gate
-    count).  Rows are packed like copies (site i in bit (i-1) % 64 of
-    word (i-1) // 64).  A round's targets never meet its own condition
-    sites.
+    A copy of trial b that equals ``patterns[b, r]`` on the sites set in
+    ``masks[b, r]`` flips the sites set in ``flips[b, r]`` and, where
+    ``diagonal[b, r]``, negates its sign.  ``targets[b, r]`` is the row's
+    one target site: the flipped site of a depth-opt row, the signed
+    site of a sign row, and 0 for a gate-opt round, which flips many.
+    ``fired[b, i]`` counts the gates of round i.  Rows past a trial's
+    own are zero, target 0 and off the diagonal, so they change nothing;
+    there are none at B = 1.
     """
 
     masks: np.ndarray
     patterns: np.ndarray
     flips: np.ndarray
+    diagonal: np.ndarray
+    targets: np.ndarray
     fired: np.ndarray
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The rounds as one (masks, patterns, flips, diagonal) segment of
-        (B, 2R, ...) arrays."""
-        return [(self.masks, self.patterns, self.flips, np.zeros(self.masks.shape[:-1], dtype=bool))]
+        """The rows as one (masks, patterns, flips, diagonal) segment."""
+        return [(self.masks, self.patterns, self.flips, self.diagonal)]
+
+
+def _padded(shape: tuple[int, int], trial: np.ndarray, row: np.ndarray, *slots: np.ndarray) -> list[np.ndarray]:
+    """Zero-padded (B, R, ...) arrays of a block's fired slots: entry i
+    of each of ``slots`` goes to row ``row[i]`` of trial ``trial[i]``."""
+    out = [np.zeros(shape + a.shape[1:], dtype=a.dtype) for a in slots]
+    for rows, a in zip(out, slots):
+        rows[trial, row] = a
+    return out
+
+
+def _conditions(prog: Program, n: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The m condition sites of each of trial 0's rows, ascending, and
+    the values they must hold: the rows of one seed hold no padding."""
+    condition = unpack_bits(prog.masks[0], n)
+    rows, cols = np.nonzero(condition)
+    shape = (len(condition), m)
+    values = unpack_bits(prog.patterns[0], n)[rows, cols]
+    return (cols + 1).reshape(shape).tolist(), values.reshape(shape).tolist()
+
+
+def _layers(gates: list[Gate], fired: np.ndarray) -> tuple[Layer, ...]:
+    """``gates`` in order, ``fired[r]`` of them to layer r."""
+    layers, end = [], 0
+    for count in fired.tolist():
+        layers.append(Layer(gates[end : end + count], check=False) if count else _EMPTY_LAYER)
+        end += count
+    return tuple(layers)
 
 
 def _gate_opt_stages(gp: GenParams) -> list[Stage]:
@@ -269,11 +302,12 @@ def _gate_opt_stages(gp: GenParams) -> list[Stage]:
     return stage_table("gate-opt", gp.n, gp.k, gp.t, gp.alpha, gp.m)
 
 
-def gate_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> GateOptProgram:
+def gate_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> Program:
     """Draw the two-stage serial bit thermalizer of every seed in
-    ``seeds`` (``gp.seed`` alone by default) as packed round arrays: the
-    rounds of its stages in order.  A round's controls are its m sites
-    in ascending order, the j-th smallest taking the j-th coin.
+    ``seeds`` (``gp.seed`` alone by default): one row per round, the
+    rounds of its stages in order, flipping every target the round's
+    mask sets.  A round's controls are its m sites in ascending order,
+    the j-th smallest taking the j-th coin; they never meet its targets.
     ``gate_opt_thermalizer`` is a view of the one-seed result."""
     seeds = (gp.seed,) if seeds is None else seeds
     n, rounds = gp.n, gp.rounds
@@ -284,14 +318,10 @@ def gate_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> GateO
         targets[:, row.stage * rounds : (row.stage + 1) * rounds, lo : lo + row.firing] = mask
         sites.append(np.sort(stage_sites[:, :, 0], axis=2))
         coins.append(stage_coins[:, :, 0])
-    sites = np.concatenate(sites, axis=1)
-    masks, patterns = pack_conditions(sites, np.concatenate(coins, axis=1), words_needed(n))
-    return GateOptProgram(
-        masks=masks,
-        patterns=patterns,
-        flips=pack_bits(targets),
-        fired=targets.sum(axis=2, dtype=np.int64),
-    )
+    masks, patterns = pack_conditions(np.concatenate(sites, axis=1), np.concatenate(coins, axis=1), words_needed(n))
+    shape = masks.shape[:-1]
+    return Program(masks, patterns, pack_bits(targets), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=np.int64),
+                   targets.sum(axis=2, dtype=np.int64))
 
 
 def gate_opt_thermalizer(gp: GenParams) -> Circuit:
@@ -306,34 +336,25 @@ def gate_opt_thermalizer(gp: GenParams) -> Circuit:
     """
     prog = gate_opt_program(gp)
     n, k, rounds = gp.n, gp.k, gp.rounds
-    condition = unpack_bits(prog.masks[0], n)
-    pattern = unpack_bits(prog.patterns[0], n)
+    sites, values = _conditions(prog, n, gp.m)
     targets = unpack_bits(prog.flips[0], n)
-    # every round has exactly m condition sites; nonzero walks them in
-    # ascending order, row by row
-    cond_rows, cond_cols = np.nonzero(condition)
-    sites = (cond_cols + 1).reshape(2 * rounds, gp.m).tolist()
-    values = pattern[cond_rows, cond_cols].reshape(2 * rounds, gp.m).tolist()
-    layers: list[Layer] = []
-    rounds_meta: list[dict] = []
+    # one layer per candidate target: stage 1 sweeps [k+1, n], stage 2 [1, k]
+    slots = np.concatenate([targets[:rounds, k:].ravel(), targets[rounds:, :k].ravel()])
+    gates, rounds_meta = [], []
     for r in range(2 * rounds):
-        stage, target_first, width = (1, k + 1, n - k) if r < rounds else (2, 1, k)
-        controls = tuple(ControlTerm(p, v) for p, v in zip(sites[r], values[r]))
+        controls = tuple(map(ControlTerm, sites[r], values[r]))
+        gates += [Gate(MCX, controls, site + 1) for site in np.flatnonzero(targets[r]).tolist()]
         rounds_meta.append(
             {
-                "stage": stage,
-                "layer": len(layers),
+                "stage": 1 if r < rounds else 2,
+                "layer": r * (n - k) if r < rounds else rounds * (n - k) + (r - rounds) * k,
                 "controls": [list(pv) for pv in zip(sites[r], values[r])],
             }
         )
-        block = [_EMPTY_LAYER] * width
-        for site in np.flatnonzero(targets[r]).tolist():
-            block[site + 1 - target_first] = Layer((Gate(MCX, controls, site + 1),), check=False)
-        layers.extend(block)
     extra = {"rounds": rounds_meta, "stage2_first_layer": rounds * (n - k)}
     return Circuit(
         n=n,
-        layers=tuple(layers),
+        layers=_layers(gates, slots),
         generator="gate-opt",
         params=gp.as_dict(),
         seed=gp.seed,
@@ -349,53 +370,20 @@ def _depth_opt_stages(gp: GenParams) -> list[Stage]:
     return table
 
 
-def depth_opt_stage_count(n: int, k: int, m: int) -> int:
-    """Number of growth stages of the staged thermalizer (deterministic)."""
-    return len(stage_table("depth-opt", n, k, 1, 1.0, m)) - 1
-
-
-@dataclass(frozen=True)
-class DepthOptProgram:
-    """Array form of a block of B staged thermalizers: their fired slots,
-    behind a leading trial axis.
-
-    A trial's slots run stage by stage, round by round and slot by slot,
-    the order of ``depth_opt_thermalizer``'s gates.  Slot i of trial b
-    flips site ``targets[b, i]`` on the copies that hold ``values[b, i]``
-    on the sites ``sites[b, i]`` (its group's m sites, 1-based, in draw
-    order).  Stage j starts at the same slot in every trial, after the
-    block's most fired slots of stage j-1; the slots a trial leaves
-    empty hold site 0 and target 0, so there are none at B = 1.
-    ``fired[b, j, r]`` counts the fired slots of round r of stage j, the
-    closing stage last.
-    """
-
-    n: int
-    sites: np.ndarray
-    values: np.ndarray
-    targets: np.ndarray
-    fired: np.ndarray
-
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """One (masks, patterns, flips, diagonal) segment of (B, R, ...)
-        arrays: the slots packed like copies, none of them diagonal.  An
-        empty slot packs to a zero row, which changes nothing."""
-        W = words_needed(self.n)
-        masks, patterns = pack_conditions(self.sites, self.values, W)
-        return [(masks, patterns, site_words(W)[self.targets], np.zeros(masks.shape[:-1], dtype=bool))]
-
-
-def depth_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> DepthOptProgram:
+def depth_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> Program:
     """Draw the staged thermalizer of every seed in ``seeds`` (``gp.seed``
-    alone by default) as arrays of its fired slots.
+    alone by default): one row per fired slot, stage by stage, round by
+    round and slot by slot, the order of ``depth_opt_thermalizer``'s
+    gates.
 
-    Slot x of a round conditions on the round's x-th group and targets
-    the stage's x-th target site.  The fired slots of every stage and
-    trial are selected from the block in one step.
+    Slot x of a round conditions on the round's x-th group and flips the
+    stage's x-th target site.  The fired slots of every stage and trial
+    are selected from the block in one step; stage j starts at the same
+    row in every trial, after the block's most fired slots of stage j-1.
     ``depth_opt_thermalizer`` is a view of the one-seed result.
     """
     seeds = (gp.seed,) if seeds is None else seeds
-    B, m = len(seeds), gp.m
+    B, m, W = len(seeds), gp.m, words_needed(gp.n)
     on, sites, values, targets, segment, fired = [], [], [], [], [], []
     for row, apply, coins, stage_sites in _draw_stages("depth-opt", _depth_opt_stages(gp), m, seeds):
         on.append(apply.reshape(B, -1) == 1)
@@ -405,14 +393,13 @@ def depth_opt_program(gp: GenParams, seeds: Sequence[int] | None = None) -> Dept
         segment.append(np.full(row.rounds * row.firing, row.stage))
         fired.append(on[-1].reshape(B, row.rounds, row.firing).sum(axis=2))
     trial, slot, place, widths = _place(np.concatenate(on, axis=1), np.concatenate(segment))
-    shape = (B, int(widths.sum()))
-    out_sites, out_values = np.zeros(shape + (m,), dtype=np.int64), np.zeros(shape + (m,), dtype=np.uint8)
-    out_targets = np.zeros(shape, dtype=np.int64)
-    out_sites[trial, place] = np.concatenate(sites, axis=1)[trial, slot]
-    out_values[trial, place] = np.concatenate(values, axis=1)[trial, slot]
-    out_targets[trial, place] = np.concatenate(targets)[slot]
-    return DepthOptProgram(n=gp.n, sites=out_sites, values=out_values, targets=out_targets,
-                           fired=np.stack(fired, axis=1))
+    masks, patterns = pack_conditions(
+        np.concatenate(sites, axis=1)[trial, slot], np.concatenate(values, axis=1)[trial, slot], W
+    )
+    target = np.concatenate(targets)[slot]
+    rows = _padded((B, int(widths.sum())), trial, place, masks, patterns, site_words(W)[target],
+                   np.zeros(len(slot), dtype=bool), target)
+    return Program(*rows, fired=np.concatenate(fired, axis=1))
 
 
 def depth_opt_thermalizer(gp: GenParams) -> Circuit:
@@ -431,18 +418,11 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     so the unit-cost depth is (growth stages + 1) * rounds for all seeds.
     """
     prog = depth_opt_program(gp)
-    order = np.argsort(prog.sites[0], axis=1)
-    sites = np.take_along_axis(prog.sites[0], order, axis=1).tolist()
-    values = np.take_along_axis(prog.values[0], order, axis=1).tolist()
+    sites, values = _conditions(prog, gp.n, gp.m)
     gates = [
         Gate(MCX, tuple(map(ControlTerm, s, v)), target)
         for s, v, target in zip(sites, values, prog.targets[0].tolist())
     ]
-    layers: list[Layer] = []
-    end = 0
-    for count in prog.fired[0].ravel().tolist():
-        layers.append(Layer(gates[end : end + count], check=False) if count else _EMPTY_LAYER)
-        end += count
     stages_meta = [
         {"s": row.window if row.first == 1 else "closing", "p": row.window // gp.m, "targets": row.firing,
          "first_layer": row.stage * gp.rounds}
@@ -451,47 +431,12 @@ def depth_opt_thermalizer(gp: GenParams) -> Circuit:
     extra = {"stages": stages_meta, "growth_stages": len(stages_meta) - 1}
     return Circuit(
         n=gp.n,
-        layers=tuple(layers),
+        layers=_layers(gates, prog.fired[0]),
         generator="depth-opt",
         params=gp.as_dict(),
         seed=gp.seed,
         extra=extra,
     )
-
-
-@dataclass(frozen=True)
-class SignProgram:
-    """Array form of a block of B sign thermalizers: L layers of p slots,
-    behind a leading trial axis.
-
-    Slot (l, x) of trial b holds its group's m sites in draw order
-    (``sites[b, l, x]``, 1-based) and their required values.  When
-    ``fired[b, l, x]`` it is one signed MCZ whose signed target is the
-    group's last drawn site and whose controls are the others.
-    """
-
-    n: int
-    sites: np.ndarray
-    values: np.ndarray
-    fired: np.ndarray
-
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """One (masks, patterns, flips, diagonal) segment of (B, R, ...)
-        arrays: each trial's fired slots, layer by layer, each the full
-        condition of its signed MCZ, packed like copies, as a diagonal row
-        that flips nothing.  Rows past a trial's fired slots are zero and
-        off the diagonal, so they change nothing."""
-        B, W = len(self.fired), words_needed(self.n)
-        slots = self.fired[0].size
-        trial, slot, place, [width] = _place(self.fired.reshape(B, -1), np.zeros(slots, dtype=np.intp))
-        # packing every slot costs less than gathering the fired ones' sites
-        packed = np.array(pack_conditions(self.sites, self.values, W)).reshape(2, B * slots, W)
-        conditions = np.zeros((2, B * width, W), dtype=np.uint64)
-        conditions[:, trial * width + place] = packed[:, trial * slots + slot]
-        diagonal = np.zeros(B * width, dtype=bool)
-        diagonal[trial * width + place] = True
-        masks, patterns = conditions.reshape(2, B, width, W)
-        return [(masks, patterns, np.zeros_like(masks), diagonal.reshape(B, width))]
 
 
 def _sign_stages(n: int, p: int, alpha: float, t: int, m: int) -> list[Stage]:
@@ -505,53 +450,52 @@ def _sign_stages(n: int, p: int, alpha: float, t: int, m: int) -> list[Stage]:
         raise ValueError("sign thermalizer requires m*p <= n")
     if m * p < 2:
         raise ValueError("condition window [1, m*p] needs at least 2 sites")
-    if t < 1 or alpha <= 0:
-        raise ValueError("t and alpha must be positive")
+    if t < 1:
+        raise ValueError("t must be positive")
+    _check_alpha(alpha)
     return stage_table("sign", n, 0, t, alpha, m, p)
 
 
 def sign_program(
     n: int, p: int, alpha: float, t: int, m: int, seed: int = 0, seeds: Sequence[int] | None = None
-) -> SignProgram:
+) -> Program:
     """Draw the parallel sign thermalizer of every seed in ``seeds``
-    (``seed`` alone by default) as slot arrays: its one stage's blocks,
-    the groups arranging the whole window.  ``sign_thermalizer`` is a
-    view of the one-seed result."""
+    (``seed`` alone by default): one diagonal row per fired slot, layer
+    by layer, that flips nothing.  A slot's row is the full condition of
+    its signed MCZ, its group's m sites, and its target the group's last
+    drawn site.  ``sign_thermalizer`` is a view of the one-seed result."""
     seeds = (seed,) if seeds is None else seeds
+    B, W = len(seeds), words_needed(n)
     [(_, apply, coins, sites)] = _draw_stages("sign", _sign_stages(n, p, alpha, t, m), m, seeds)
-    return SignProgram(n, sites, coins, apply == 1)
+    on = (apply == 1).reshape(B, -1)
+    trial, slot, place, [width] = _place(on, np.zeros(on.shape[1], dtype=np.intp))
+    sites = sites.reshape(B, -1, m)[trial, slot]
+    masks, patterns = pack_conditions(sites, coins.reshape(B, -1, m)[trial, slot], W)
+    rows = _padded((B, width), trial, place, masks, patterns, np.zeros_like(masks), np.ones(len(slot), dtype=bool),
+                   sites[:, -1])
+    return Program(*rows, fired=on.reshape(apply.shape).sum(axis=2))
 
 
 def sign_thermalizer(n: int, p: int, alpha: float, t: int, m: int, seed: int = 0) -> Circuit:
     """Parallel sign thermalizer as a ``Circuit`` (export view of
     ``sign_program``).
 
-    Every fired slot becomes one signed MCZ whose controls are its
-    group's first m-1 drawn members and whose signed target is the last
-    (position and required value).  Layers without a fired slot stay, so
-    there are ceil(alpha*t/p) layers for every seed.  With m = 1 the gate
+    Every fired slot becomes one signed MCZ whose signed target is its
+    group's last drawn member (position and required value) and whose
+    controls are the others.  Layers without a fired slot stay, so there
+    are ceil(alpha*t/p) layers for every seed.  With m = 1 the gate
     degenerates to a single-site sign-flip condition.
     """
     prog = sign_program(n, p, alpha, t, m, seed)
-    n_layers = prog.fired.shape[1]
-    layers: list[Layer] = []
-    for sites, values, fired in zip(prog.sites[0].tolist(), prog.values[0].tolist(), prog.fired[0].tolist()):
-        gates = [
-            Gate(
-                SIGNED_MCZ,
-                _sorted_controls([ControlTerm(s, v) for s, v in zip(sites[x][:-1], values[x][:-1])]),
-                sites[x][-1],
-                target_value=values[x][-1],
-            )
-            for x in range(p)
-            if fired[x]
-        ]
-        layers.append(Layer(gates, check=False) if gates else _EMPTY_LAYER)
+    gates = []
+    for sites, values, target in zip(*_conditions(prog, n, m), prog.targets[0].tolist()):
+        controls = tuple(ControlTerm(s, v) for s, v in zip(sites, values) if s != target)
+        gates.append(Gate(SIGNED_MCZ, controls, target, target_value=values[sites.index(target)]))
     params = {"n": n, "p": p, "t": t, "alpha": alpha, "m": m}
-    extra = {"layer_count": n_layers, "slots_per_layer": p}
+    extra = {"layer_count": len(prog.fired[0]), "slots_per_layer": p}
     return Circuit(
         n=n,
-        layers=tuple(layers),
+        layers=_layers(gates, prog.fired[0]),
         generator="sign",
         params=params,
         seed=seed,

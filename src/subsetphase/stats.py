@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri, pdtr, pdtrc
 
 from .copysim import CopyEnsemble
+from .rng import stream
 
 DEFAULT_ALPHA = 1e-3
 # Largest t-subset domain binom(2^n, t) the uniformity test enumerates
@@ -201,15 +202,16 @@ def _uniform_chi2_p(counts: np.ndarray, n_trials: int, seed: int | None) -> tupl
     """Chi-square p-value against the uniform distribution.
 
     Below 5 expected counts per cell the asymptotic reference is poor, so
-    the tail is estimated from 4000 seeded multinomial draws (resolution
-    ~2.5e-4, adequate around the 1e-3 decision threshold).
+    the tail is estimated from 4000 multinomial draws of the stream
+    (seed, "uniform-chi2") (resolution ~2.5e-4, adequate around the 1e-3
+    decision threshold).
     """
     bins = counts.shape[0]
     expected = n_trials / bins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     if expected >= _MIN_EXPECTED_FOR_CHI2:
         return chi2, float(chdtrc(bins - 1, chi2))
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = stream(0 if seed is None else seed, "uniform-chi2")
     probs = np.full(bins, 1.0 / bins)
     n_draws, chunk = 4000, 250
     exceed = 0

@@ -289,14 +289,3 @@ def trace_distance(a: MomentMatrix, b: MomentMatrix) -> float:
     eig = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.abs(eig).sum())
 
-
-def mixed_bound(p_fail: float, td_sigma: float) -> float:
-    """Convexity bound on the distance of a mixture that fails with
-    probability p_fail: p_fail * 1 + (1 - p_fail) * td_sigma.
-
-    It is never above the cruder p_fail + td_sigma.  Neither bound
-    appears in any command's report.
-    """
-    if not 0.0 <= p_fail <= 1.0 or not 0.0 <= td_sigma <= 1.0:
-        raise ValueError("arguments must lie in [0, 1]")
-    return p_fail + (1.0 - p_fail) * td_sigma

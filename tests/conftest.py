@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from subsetphase import cli, generators, subsetstate
-from subsetphase.circuit import ControlTerm
-from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
+from subsetphase.circuit import MCX, ControlTerm, Gate
+from subsetphase.copysim import CopyEnsemble, _full_condition, sample_initial_copies
+from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer, stage_table
 from subsetphase.rng import derive_seed, stream
 from subsetphase.subsetstate import to_statevector
 
@@ -88,6 +90,83 @@ def prmc(
             for x in range(slots)
         ]
         out.append((groups, apply_bits))
+    return out
+
+
+def _pack_terms_words(terms: Iterable[ControlTerm], W: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    mask = [0] * W
+    pat = [0] * W
+    for c in terms:
+        w, b = divmod(c.position - 1, 64)
+        mask[w] |= 1 << b
+        if c.required_value:
+            pat[w] |= 1 << b
+    return tuple(mask), tuple(pat)
+
+
+def apply_gate(e: CopyEnsemble, g: Gate) -> CopyEnsemble:
+    """Apply one gate to every copy: the per-gate reference the step
+    kernel is tested against, one gate at a time.
+
+    MCX flips the target bit of every copy matching all controls; the
+    signed MCZ negates the sign of every copy matching all controls and
+    holding ``target_value`` at the target site.
+    """
+    for c in g.controls:
+        if not 1 <= c.position <= e.n:
+            raise ValueError("gate sites must lie in [1, n]")
+    if not 1 <= g.target <= e.n:
+        raise ValueError("gate sites must lie in [1, n]")
+    out = e.clone()
+    W = out.copies.shape[1]
+    if g.kind == MCX:
+        mask, pat = _pack_terms_words(g.controls, W)
+        sat = _satisfied_words(out.copies, mask, pat)
+        w, b = divmod(g.target - 1, 64)
+        out.copies[sat, w] ^= np.uint64(1 << b)
+    else:
+        mask, pat = _pack_terms_words(_full_condition(g), W)
+        sat = _satisfied_words(out.copies, mask, pat)
+        out.signs[sat] = -out.signs[sat]
+    return out
+
+
+def _satisfied_words(copies: np.ndarray, mask: tuple[int, ...], pat: tuple[int, ...]) -> np.ndarray:
+    sat = np.ones(copies.shape[0], dtype=bool)
+    for w, (mw, pw) in enumerate(zip(mask, pat)):
+        if mw:
+            sat &= (copies[:, w] & np.uint64(mw)) == np.uint64(pw)
+    return sat
+
+
+def depth_opt_stage_count(n: int, k: int, m: int) -> int:
+    """Number of growth stages of the staged thermalizer (deterministic)."""
+    return len(stage_table("depth-opt", n, k, 1, 1.0, m)) - 1
+
+
+def oracle_bit_ensembles(n: int, t: int, trials: int, master_seed: int) -> list[CopyEnsemble]:
+    """Direct sampler of the thermalized target: t distinct uniform
+    n-bit strings per trial (no circuit involved)."""
+    return [
+        sample_initial_copies(n, n, t, stream(master_seed, "oracle-bits", i)) for i in range(trials)
+    ]
+
+
+def frozen_initial_ensembles(n: int, k: int, t: int, trials: int, master_seed: int) -> list[CopyEnsemble]:
+    """Unevolved initial ensembles; the thermalization tests must fail on
+    these."""
+    return [
+        sample_initial_copies(n, k, t, stream(master_seed, "frozen-bits", i))
+        for i in range(trials)
+    ]
+
+
+def oracle_sign_vectors(t: int, trials: int, master_seed: int) -> list[np.ndarray]:
+    """Uniform +-1 vectors, the target distribution of the sign tests."""
+    out = []
+    for i in range(trials):
+        rng = stream(master_seed, "oracle-signs", i)
+        out.append((1 - 2 * rng.integers(0, 2, size=t)).astype(np.int8))
     return out
 
 

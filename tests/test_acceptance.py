@@ -16,7 +16,7 @@ import numpy as np
 
 from subsetphase import analysis, drivers, stats
 from subsetphase.circuit import UNIT, depth
-from subsetphase.copysim import CopyEnsemble, apply_gate
+from subsetphase.copysim import CopyEnsemble
 from subsetphase.f2linalg import (
     BitMatrix,
     RankBoundParams,
@@ -28,7 +28,6 @@ from subsetphase.generators import (
     GenParams,
     ceil_rounds,
     depth_opt_cost_profile,
-    depth_opt_stage_count,
     depth_opt_thermalizer,
     sign_thermalizer,
 )
@@ -37,7 +36,7 @@ from subsetphase.subsetstate import apply_circuit as state_apply
 from subsetphase.subsetstate import initial_subset_state
 from test_circuit import random_circuit
 
-from conftest import span_rank
+from conftest import apply_gate, depth_opt_stage_count, span_rank
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> bool:

@@ -18,12 +18,13 @@ from subsetphase.circuit import DECOMPOSED, UNIT, ccx_equivalent_count, depth
 from subsetphase.drivers import monte_carlo_full_rank_streamed
 from subsetphase.generators import (
     GenParams,
-    depth_opt_stage_count,
     depth_opt_thermalizer,
     gate_opt_thermalizer,
     sign_thermalizer,
 )
 from subsetphase.rng import derive_seed
+
+from conftest import depth_opt_stage_count
 
 # frozen from 60-digit evaluations of the bound expressions
 CCX_BOUND_A8_T16 = 0.99999999999996982773

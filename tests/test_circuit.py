@@ -14,7 +14,6 @@ from subsetphase.circuit import (
     Gate,
     Layer,
     ccx_equivalent_count,
-    ccx_ladder_ancillas,
     ccx_ladder_count,
     circuit_from_obj,
     circuit_to_obj,
@@ -67,10 +66,6 @@ class TestLadderCosts:
 
     def test_eight_controls(self):
         assert ccx_ladder_count(8) == 13
-
-    def test_ancillas(self):
-        assert ccx_ladder_ancillas(2) == 0
-        assert ccx_ladder_ancillas(5) == 3
 
 
 class TestDepth:

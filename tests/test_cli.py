@@ -90,6 +90,32 @@ class TestGen:
         assert "premise" in res.stderr
         assert out.exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("algorithm", ["gate-opt", "sign"])
+    def test_non_finite_alpha_exits_1_naming_alpha(self, tmp_path, algorithm, alpha):
+        out = tmp_path / "x.json"
+        res = run_cli(
+            "gen", "--algorithm", algorithm, "--n", "8", "--k", "4", "--p", "2", "--t", "1",
+            "--alpha", alpha, "--m", "2", "--out", str(out),
+        )
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"error: alpha must be positive and finite, got {alpha}" in res.stderr
+        assert not out.exists()
+
+    def test_unallocatable_circuit_exits_1_without_traceback(self, tmp_path):
+        # about 2e14 rounds of 8 target slots: a 1.4 PiB array, more than an
+        # address space holds, so the request fails before touching memory
+        out = tmp_path / "x.json"
+        res = run_cli(
+            "gen", "--algorithm", "gate-opt", "--n", "8", "--k", "4", "--t", "1",
+            "--alpha", "1e14", "--m", "2", "--out", str(out),
+        )
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "error: out of memory: Unable to allocate" in res.stderr and "PiB" in res.stderr
+        assert not out.exists()
+
 
 class TestSim:
     def test_missing_circuit_flag_exits_1(self):
@@ -168,6 +194,28 @@ class TestSim:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         assert message in res.stderr
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("key", ["n", "seed", "params.t", "pos"])
+    def test_number_past_float_range_exits_1_naming_the_key(self, tmp_path, key):
+        circ = tmp_path / "c.json"
+        rep = tmp_path / "r.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        obj = read_json(circ)
+        layer = next(i for i, layer in enumerate(obj["layers"]) if layer)
+        where, message = {
+            "n": (obj, "n must be an integer, got inf"),
+            "seed": (obj, "seed must be an integer, got inf"),
+            "params.t": (obj["params"], "t must be an integer, got inf"),
+            "pos": (obj["layers"][layer][0]["controls"][0], f"layer {layer} gate 0: pos must be an integer, got inf"),
+        }[key]
+        where[key.rpartition(".")[2]] = "BIG"
+        # json.dumps writes no number past the float range, so splice one in
+        circ.write_text(json.dumps(obj).replace('"BIG"', "1e400"))
+        res = run_cli("sim", "--circuit", str(circ), "--report", str(rep))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"error: {message}" in res.stderr
         assert not rep.exists()
 
     def test_unreadable_circuit_exits_1(self, tmp_path):
@@ -384,6 +432,27 @@ class TestScaling:
             assert name in res.stderr
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("grid,named", [
+        ("n=256;t=4;m=0", "m=0"), ("n=0;t=4", "n=0"), ("n=64;t=0", "t=0"), ("n=64;t=4;m=-2", "m=-2"),
+    ])
+    def test_grid_rejects_counts_below_one(self, tmp_path, grid, named):
+        out = tmp_path / "x.csv"
+        res = run_cli("scaling", "--grid", grid, "--algorithm", "sign", "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "Error:" in res.stderr and f"grid value {named} must be at least 1" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("algorithm", ["depth-opt", "sign"])
+    def test_grid_rejects_non_finite_alpha(self, tmp_path, algorithm, alpha):
+        out = tmp_path / "x.csv"
+        res = run_cli("scaling", "--grid", f"n=128;t=4;alpha={alpha}", "--algorithm", algorithm, "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"error: alpha must be positive and finite, got {alpha}" in res.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["gate-opt", "depth-opt"])
     def test_grid_rejects_p_for_bit_thermalizers(self, tmp_path, algorithm):

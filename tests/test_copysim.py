@@ -7,7 +7,6 @@ from subsetphase.copysim import (
     CopyEnsemble,
     apply_circuit,
     apply_circuit_recording,
-    apply_gate,
     compile_circuit,
     pack_bits,
     pack_conditions,
@@ -19,7 +18,6 @@ from subsetphase.copysim import (
     unpack_bits,
     words_needed,
 )
-from subsetphase.copysim import _pack_terms_words, _satisfied_words
 from subsetphase.f2linalg import rank
 from subsetphase.f2linalg import BitMatrix
 from subsetphase.generators import (
@@ -30,6 +28,8 @@ from subsetphase.generators import (
 )
 from subsetphase.rng import stream
 from test_circuit import ccx, mcx, random_circuit
+
+from conftest import _pack_terms_words, _satisfied_words, apply_gate
 
 
 class TestSampleInitialCopies:

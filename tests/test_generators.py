@@ -31,7 +31,6 @@ from subsetphase.generators import (
     ceil_rounds,
     depth_opt_cost_profile,
     depth_opt_program,
-    depth_opt_stage_count,
     depth_opt_thermalizer,
     gate_opt_cost_profile,
     gate_opt_program,
@@ -43,7 +42,7 @@ from subsetphase.generators import (
 from subsetphase.analysis import predicted_cost
 from subsetphase.rng import stream, stream_key
 
-from conftest import prmc, rmc, stage_blocks
+from conftest import depth_opt_stage_count, prmc, rmc, stage_blocks
 
 
 class TestCeilRounds:
@@ -264,6 +263,8 @@ class TestGateOptProgram:
         [(masks, patterns, flips, diagonal)] = prog.rows()
         assert masks is prog.masks and patterns is prog.patterns and flips is prog.flips
         assert diagonal.shape == shape[:2] and not diagonal.any()
+        # a round flips many sites, so it names no one target
+        assert prog.targets.shape == shape[:2] and not prog.targets.any()
 
     def test_rejects_m_above_windows(self):
         with pytest.raises(ValueError):
@@ -382,14 +383,17 @@ class TestDepthOptProgram:
         ref = prmc_depth_opt_reference(gp)
         prog = depth_opt_program(gp)
         stages = depth_opt_stage_count(36, 9, 3) + 1
-        assert prog.fired.shape == (1, stages, gp.rounds)
-        assert prog.fired.ravel().tolist() == [len(layer.gates) for layer in ref.layers]
-        assert prog.sites.shape == prog.values.shape == (1, ref.gate_count, 3)
-        assert prog.targets.shape == (1, ref.gate_count)
-        # the stages run back to back in one segment
+        assert prog.fired.shape == (1, stages * gp.rounds)
+        assert prog.fired[0].tolist() == [len(layer.gates) for layer in ref.layers]
+        # one row per gate, the stages back to back in one segment
         [(masks, patterns, flips, diagonal)] = prog.rows()
         assert masks.shape == patterns.shape == flips.shape == (1, ref.gate_count, 1)
-        assert diagonal.shape == (1, ref.gate_count)
+        assert diagonal.shape == prog.targets.shape == (1, ref.gate_count)
+        assert not diagonal.any()
+        # each row flips its own target and no other site
+        assert prog.targets[0].tolist() == [g.target for g in ref.gates()]
+        rows, cols = np.nonzero(unpack_bits(flips[0], 36))
+        assert np.array_equal(rows, np.arange(ref.gate_count)) and np.array_equal(cols + 1, prog.targets[0])
 
     def test_rejects_m_above_k(self):
         with pytest.raises(ValueError):
@@ -468,7 +472,7 @@ class TestCostProfiles:
     def test_sign_profile_equals_program_costs(self, n, p, alpha, t, m):
         cost = ccx_ladder_count(m)
         for seed in range(3):
-            fired = sign_program(n, p, alpha, t, m, seed).fired[0].sum(axis=1)
+            fired = sign_program(n, p, alpha, t, m, seed).fired[0]
             gates = int(fired.sum())
             decomposed = int(np.where(fired > 0, cost, 1).sum())
             want = CostMeasurement(gates, len(fired), decomposed, gates * cost)
@@ -596,10 +600,8 @@ class TestStageDraws:
         # the groups in draw order arrange the whole window, so the
         # partition and the signed target (each group's last member)
         # are uniform
-        rows = np.concatenate([
-            sign_program(n, p, 32.0, 16, m, seed).sites.reshape(-1, m * p) for seed in range(150)
-        ])
-        assert_uniform(rows, math.factorial(m * p))
+        [(_, _, _, sites)] = _draw_stages("sign", _sign_stages(n, p, 32.0, 16, m), m, list(range(150)))
+        assert_uniform(sites.reshape(-1, m * p), math.factorial(m * p))
 
     def test_firing_and_polarity_coins_fair(self):
         blocks = {f"{name} {block}": [] for name in ("gate-opt", "depth-opt", "sign") for block in ("firing", "coins")}
@@ -694,14 +696,21 @@ def prmc_sign_reference(n: int, p: int, alpha: float, t: int, m: int, seed: int)
 
 
 SEEDS = [0, 7, 123, 2**40 + 5, 99]
+FIELDS = ("masks", "patterns", "flips", "diagonal", "targets")
 
 
-def assert_rows_equal(block_rows, single_rows, b, keep):
-    """Row set b of a block program's one segment, its rows ``keep`` only,
-    equals a one-seed program's one segment."""
-    [block], [single] = block_rows, single_rows
-    for got, want in zip(block, single):
-        assert np.array_equal(got[b][keep], want[0])
+def assert_trial_equals_single(block, single, b) -> np.ndarray:
+    """Row set b of a block program, its rows with a condition, equals the
+    one-seed program in all six fields, and its other rows are padding:
+    zero, target 0 and off the diagonal.  Returns the kept rows."""
+    # every row of a program conditions on m >= 1 sites
+    keep = block.masks[b].any(axis=1)
+    assert np.array_equal(block.fired[b], single.fired[0])
+    for f in FIELDS:
+        got = getattr(block, f)[b]
+        assert np.array_equal(got[keep], getattr(single, f)[0]), f
+        assert not got[~keep].any(), f
+    return keep
 
 
 class TestBlockPrograms:
@@ -714,6 +723,7 @@ class TestBlockPrograms:
     @pytest.mark.parametrize("n,k,t,alpha,m", BITS)
     def test_gate_and_depth_opt(self, n, k, t, alpha, m):
         base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
+        stages = len(_depth_opt_stages(base))
         builds = [depth_opt_program]
         if m <= min(k, n - k):
             builds.append(gate_opt_program)
@@ -721,24 +731,16 @@ class TestBlockPrograms:
             block = build(base, SEEDS)
             for b, seed in enumerate(SEEDS):
                 single = build(GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed))
-                assert np.array_equal(block.fired[b], single.fired[0])
+                keep = assert_trial_equals_single(block, single, b)
                 if build is gate_opt_program:
-                    for f in ("masks", "patterns", "flips"):
-                        assert np.array_equal(getattr(block, f)[b], getattr(single, f)[0])
-                    keep = slice(None)
-                else:
-                    # each stage starts at the same slot in every trial, after
-                    # the block's most fired slots of the stage before; the
-                    # empty slots between hold target 0
-                    keep = block.targets[b] > 0
-                    counts = block.fired.sum(axis=2)
-                    starts = np.cumsum(counts.max(axis=0)) - counts.max(axis=0)
-                    slots = [start + np.arange(count) for start, count in zip(starts, counts[b])]
-                    assert np.array_equal(np.flatnonzero(keep), np.concatenate(slots))
-                    for f in ("sites", "values", "targets"):
-                        assert np.array_equal(getattr(block, f)[b][keep], getattr(single, f)[0])
-                    assert not block.sites[b][~keep].any() and not block.values[b][~keep].any()
-                assert_rows_equal(block.rows(), single.rows(), b, keep)
+                    assert keep.all()
+                    continue
+                # each stage starts at the same row in every trial, after
+                # the block's most fired slots of the stage before
+                counts = block.fired.reshape(len(SEEDS), stages, -1).sum(axis=2)
+                starts = np.cumsum(counts.max(axis=0)) - counts.max(axis=0)
+                rows = [start + np.arange(count) for start, count in zip(starts, counts[b])]
+                assert np.array_equal(np.flatnonzero(keep), np.concatenate(rows))
 
     @pytest.mark.parametrize("n,p,alpha,t,m", [
         (24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1), (2, 1, 1.0, 1, 2),
@@ -750,10 +752,7 @@ class TestBlockPrograms:
         block = sign_program(n, p, alpha, t, m, seeds=SEEDS)
         for b, seed in enumerate(SEEDS):
             single = sign_program(n, p, alpha, t, m, seed)
-            for f in ("sites", "values", "fired"):
-                assert np.array_equal(getattr(block, f)[b], getattr(single, f)[0])
-            # rows past a trial's fired slots are zero and off the diagonal
-            [(masks, patterns, flips, diagonal)] = block.rows()
-            keep = diagonal[b]
-            assert not masks[b][~keep].any() and not patterns[b][~keep].any() and not flips.any()
-            assert_rows_equal(block.rows(), single.rows(), b, keep)
+            keep = assert_trial_equals_single(block, single, b)
+            # a trial's rows come first, each diagonal
+            assert np.array_equal(np.flatnonzero(keep), np.arange(single.fired.sum()))
+            assert np.array_equal(block.diagonal[b], keep)

@@ -124,6 +124,23 @@ def test_generators_draw_stage_blocks_not_rounds():
     assert {(opener, depth) for _, opener, depth in opened} == {("stream_words", 1)}, opened
 
 
+def test_one_program_type():
+    # every generator draws one array form, its kernel rows packed at
+    # draw time: only the program functions pack or compact rows
+    tree = ast.parse(GENERATORS.read_text(), filename=str(GENERATORS))
+    programs = [node.name for node in tree.body if isinstance(node, ast.ClassDef) and node.name.endswith("Program")]
+    assert programs == ["Program"], programs
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in PROGRAMS.values()
+    }
+    assert returns == {name: "Program" for name in PROGRAMS.values()}, returns
+    for name in ("pack_conditions", "_place"):
+        callers = {where for _, where in _calls_by_function(name) if where.startswith("generators.")}
+        assert callers and callers <= {f"generators.{f}" for f in PROGRAMS.values()}, (name, sorted(callers))
+
+
 def _tag(call: ast.Call):
     first = call.args[0] if call.args else None
     return first.value if isinstance(first, ast.Constant) else None
@@ -163,9 +180,12 @@ def test_analysis_reads_the_layout_from_generators():
 
 
 def test_bit_generators_are_built_in_rng_only():
-    # every stream is named, keyed and opened in ``rng``
+    # every stream is named, keyed and opened in ``rng``; nothing draws
+    # from a generator of numpy's own seeding
     built = {where.partition(".")[0] for name in ("Philox", "Generator") for _, where in _calls_by_function(name)}
     assert built == {"rng"}, f"bit generators built in {sorted(built)}"
+    unnamed = sorted(where for name in ("default_rng", "RandomState") for _, where in _calls_by_function(name))
+    assert unnamed == [], f"unnamed generators in {unnamed}"
 
 
 KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
@@ -201,3 +221,38 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     loaded = set(res.stdout.split())
     assert "subsetphase.cli" in loaded
     assert sorted(loaded.intersection(HEAVY_SCIPY)) == []
+
+
+# module-level functions of ``src/`` that nothing there calls, each with
+# the reason it stays; the test fails when one gains a caller, too
+UNCALLED = {
+    "analysis.success_bound_ccx": "the full-rank verdicts are to report it (ROADMAP item 3)",
+    "analysis.success_bound_mcx": "the full-rank verdicts are to report it (ROADMAP item 3)",
+    "circuit.ccx_equivalent_count": "perfbench/replica.py imports it until the replica is retraced",
+    "copysim.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
+    "subsetstate.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
+    "stats.tv_distance": "its unit tests are retired with it in a later change",
+    "f2linalg.chernoff_row_weight_bound": "its unit tests are retired with it in a later change",
+}
+
+
+def _is_command(decorator: ast.expr) -> bool:
+    func = getattr(decorator, "func", None)
+    return getattr(func, "attr", None) in ("command", "group")
+
+
+def test_every_function_has_a_caller_in_src():
+    # code that only tests call lives in ``tests/``; a click command is
+    # called by its group
+    defined, referenced = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (path.stem, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not any(map(_is_command, node.decorator_list))
+        ]
+        for node in ast.walk(tree):
+            referenced.add(getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    uncalled = sorted(f"{module}.{name}" for module, name in defined if name not in referenced)
+    assert uncalled == sorted(UNCALLED), uncalled

@@ -3,15 +3,8 @@ import pytest
 from scipy import stats as sps
 from scipy.special import chdtrc, ndtr, ndtri
 
-from subsetphase.copysim import CopyEnsemble, apply_gate, sample_initial_copies
-from subsetphase.drivers import (
-    ensemble_subsets,
-    frozen_initial_ensembles,
-    oracle_bit_ensembles,
-    oracle_sign_vectors,
-    run_bit_battery,
-    run_sign_trials,
-)
+from subsetphase.copysim import CopyEnsemble, sample_initial_copies
+from subsetphase.drivers import ensemble_subsets, run_bit_battery, run_sign_trials
 from subsetphase.generators import sign_thermalizer
 from subsetphase.rng import derive_seed, stream
 from subsetphase.stats import (
@@ -25,6 +18,8 @@ from subsetphase.stats import (
     subset_uniformity_test,
     tv_distance,
 )
+
+from conftest import apply_gate, frozen_initial_ensembles, oracle_bit_ensembles, oracle_sign_vectors
 
 
 class TestTvDistance:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_gate,
     dense_empirical_moment,
     dense_haar_moment,
     dense_trace_distance,
 )
 from subsetphase import subsetstate
 from subsetphase.circuit import MCX, Circuit, ControlTerm, Gate, Layer
-from subsetphase.copysim import CopyEnsemble, apply_gate
+from subsetphase.copysim import CopyEnsemble
 from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer
 from subsetphase.rng import stream
 from subsetphase.subsetstate import (
@@ -20,7 +21,6 @@ from subsetphase.subsetstate import (
     empirical_moment,
     haar_moment,
     initial_subset_state,
-    mixed_bound,
     sample_oracle_state,
     to_statevector,
     trace_distance,
@@ -299,17 +299,3 @@ class TestTraceDistance:
         assert trace_distance(frozen, haar) > 0.9
         assert trace_distance(oracle, haar) < 0.3
 
-
-class TestMixedBound:
-    def test_no_failures(self):
-        assert mixed_bound(0.0, 0.125) == 0.125
-
-    def test_no_residual_distance(self):
-        assert mixed_bound(0.34, 0.0) == 0.34
-
-    def test_convex_combination(self):
-        assert mixed_bound(0.01, 0.02) == pytest.approx(0.0298)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            mixed_bound(1.2, 0.0)
