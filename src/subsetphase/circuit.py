@@ -237,10 +237,12 @@ def _gate_to_obj(g: Gate) -> dict:
 
 def int_value(obj: dict, key: str, default: int | None = None) -> int:
     """``obj[key]``, or ``default`` when the key is absent, as an int.  A
-    value that no int holds, such as a JSON 1e400 (infinity) or a word,
-    raises ValueError naming the key."""
+    value that no int holds, such as a JSON 1e400 (infinity), 2.7 or a
+    word, raises ValueError naming the key; 3.0 reads as 3."""
     value = obj[key] if default is None or key in obj else default
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be an integer, got {value!r}") from None

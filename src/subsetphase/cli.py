@@ -6,8 +6,9 @@ master seed, and the stream-derivation scheme, and is written atomically
 (temp file + rename), so re-running an embedded config reproduces the
 artifact byte for byte.
 
-Exit codes: 0 success, 1 I/O or parameter errors, 2 failed strict-mode
-checks (premise violations or failed statistical tests under --strict).
+Exit codes: 0 success, 1 I/O or parameter errors or a worker process
+that died, 2 failed strict-mode checks (premise violations or failed
+statistical tests under --strict).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import click
 import numpy as np
@@ -166,7 +168,7 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
     ranks: list[int] = []
     distinct: list[bool] = []
     sign_flip_rate = 0.0
-    for copies, signs, recorded in drivers.run_blocks(trials, draw, t * words_needed(n), shared=program):
+    for copies, signs, recorded in drivers.run_blocks(0, trials, draw, t * words_needed(n), shared=program):
         final = CopyEnsemble(n, copies, signs, check=False)
         if probes is not None:
             ranks.append(rank(BitMatrix.from_dense(recorded)))
@@ -487,6 +489,9 @@ def main() -> None:
         sys.exit(1)
     except MemoryError as e:
         click.echo(f"error: out of memory: {e}", err=True)
+        sys.exit(1)
+    except BrokenProcessPool as e:
+        click.echo(f"error: a worker process died: {e}", err=True)
         sys.exit(1)
 
 

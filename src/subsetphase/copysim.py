@@ -162,6 +162,23 @@ def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> C
     return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
 
 
+def _dense_domain(k: int, t: int) -> bool:
+    """Whether t copies from a 2^k domain are drawn by permutation."""
+    return k < 63 and (k <= 12 or t * 2 >= 1 << k)
+
+
+def check_initial_shape(n: int, k: int, t: int) -> None:
+    """Refuse the shapes ``sample_initial_block`` cannot draw."""
+    if not 1 <= k <= n:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    if t < 1:
+        raise ValueError("t must be positive")
+    if k < 63 and t > (1 << k):
+        raise ValueError(f"cannot draw {t} distinct strings from a 2^{k} domain")
+    if _dense_domain(k, t) and k > 22:
+        raise ValueError("dense sampling of a domain this large is not supported")
+
+
 def sample_initial_block(n: int, k: int, t: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """(B, t, W) copies: for each stream of ``rngs``, t distinct uniform
     elements of {0,1}^k x 0^(n-k).
@@ -174,17 +191,10 @@ def sample_initial_block(n: int, k: int, t: int, rngs: Sequence[np.random.Genera
     draws are distinct; only a trial where they collide dedupes its pool
     (``_first_distinct``).
     """
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    if t < 1:
-        raise ValueError("t must be positive")
-    if k < 63 and t > (1 << k):
-        raise ValueError(f"cannot draw {t} distinct strings from a 2^{k} domain")
+    check_initial_shape(n, k, t)
     W = words_needed(n)
-    domain = 1 << k if k < 63 else None
-    if domain is not None and (domain <= 4096 or t * 2 >= domain):
-        if domain > (1 << 22):
-            raise ValueError("dense sampling of a domain this large is not supported")
+    if _dense_domain(k, t):
+        domain = 1 << k
         copies = np.zeros((len(rngs), t, W), dtype=np.uint64)
         for b, rng in enumerate(rngs):
             copies[b, :, 0] = rng.permutation(domain)[:t]

@@ -7,23 +7,29 @@ trial loop that simulates, ``sim``'s too, runs through ``run_blocks``,
 which asks for a block of trials at a time: the drivers draw a block's
 programs and initial copies together, one pass over its seeds, and
 pack its rows in one pass.
+
+The sign trials, the bit battery and ``rank-mc`` split their trials into
+contiguous spans, one per core this process may use, and ``_map_spans``
+runs the spans in a pool of forked workers.  A span returns arrays; the parent
+joins them in span order, so the results are the same bytes at any
+worker count.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-from concurrent.futures import ProcessPoolExecutor
 
 from . import subsetstate
 from .circuit import ccx_ladder_count
 from .copysim import (
     CopyEnsemble,
     StepProgram,
+    check_initial_shape,
     run_steps,
     sample_initial_block,
     step_program,
@@ -43,7 +49,6 @@ from .generators import (
     _depth_opt_stages,
     _gate_opt_stages,
     _sign_stages,
-    ceil_rounds,
     depth_opt_program,
     gate_opt_program,
     sign_program,
@@ -76,6 +81,51 @@ class BitBatteryResult:
 # can hold (mask, pattern and flips) and its copies.  Results do not
 # depend on it: every trial keeps its own streams, and batching is exact.
 _BLOCK_CELLS = 1 << 14
+# A span of trials holds at least this many blocks, or rank-mc trials,
+# which have no blocks: a run too small to fill two spans stays in this
+# process and pays no pool start-up (about 20 ms for two forked workers).
+_SPAN_BLOCKS = 16
+_RANK_SPAN_TRIALS = 64
+
+
+def _core_count() -> int:
+    """Cores this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_spans(fn: Callable[[tuple], object], args: tuple, trials: int, least: int, workers: int | None) -> list:
+    """``fn(args + (lo, hi))`` over contiguous spans lo .. hi-1 that cover
+    trials 0 .. trials-1, in span order.
+
+    There is one span per worker, and fewer where a span would hold
+    under ``least`` trials; ``workers`` None means the cores this process
+    may use, and any count is capped at them.  One span runs in this
+    process.  More run in a pool of forked workers, one per span, closed
+    and joined on every path.  Where the platform cannot fork, all the
+    trials run in this process: a worker started any other way imports
+    numpy afresh, which costs more than a span saves.
+    """
+    from multiprocessing import get_all_start_methods, get_context
+
+    cores = _core_count() if "fork" in get_all_start_methods() else 1
+    count = max(1, min(cores if workers is None else workers, cores, trials // least))
+    bounds = [trials * j // count for j in range(count + 1)]
+    spans = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if count == 1:
+        return [fn(spans[0])]
+    with ProcessPoolExecutor(max_workers=count, mp_context=get_context("fork")) as pool:
+        return list(pool.map(fn, spans))
+
+
+def _block_trials(words: int, fixed: int = 0) -> int:
+    """Trials in a block of trials that add at most ``words`` words each
+    to ``fixed`` shared ones: as many as first fill ``_BLOCK_CELLS``, at
+    least one."""
+    return max(1, -(-(_BLOCK_CELLS - fixed) // words))
 
 
 def _trial_words(n: int, t: int, *tables: list[Stage]) -> int:
@@ -100,13 +150,14 @@ def pack_block(segments: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, 
 
 
 def run_blocks(
-    trials: int,
+    lo: int,
+    hi: int,
     draw: Callable[[int, int], tuple[Sequence[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]],
     words: int,
     record: Sequence[int] = (),
     shared: StepProgram | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run trials 0 .. trials-1 through the step kernel, a block at a time.
+    """Run trials lo .. hi-1 through the step kernel, a block at a time.
 
     ``draw(lo, hi)``, called in trial order, gives the block of trials
     lo .. hi-1: its row segments, each (masks, patterns, flips, diagonal)
@@ -117,19 +168,43 @@ def run_blocks(
 
     A block, joined by ``pack_block``, runs in one ``copysim.run_steps``
     call.  ``words`` is the most one trial can add to a block (see
-    ``_trial_words``); a block holds as many trials as first bring that
-    plus the shared rows to ``_BLOCK_CELLS`` words, at least one.
-    Yields each trial's final copies, signs and (t, len(record))
-    satisfaction of the ``record`` rows, in trial order.
+    ``_trial_words``); a block holds ``_block_trials`` trials, counting
+    the shared rows.  Yields each trial's final copies, signs and
+    (t, len(record)) satisfaction of the ``record`` rows, in trial order.
     """
-    fixed = 0 if shared is None else 3 * shared.masks.size
-    size = max(1, -(-(_BLOCK_CELLS - fixed) // words))
-    for lo in range(0, trials, size):
-        hi = min(trials, lo + size)
-        segments, copies, signs = draw(lo, hi)
+    size = _block_trials(words, 0 if shared is None else 3 * shared.masks.size)
+    for start in range(lo, hi, size):
+        segments, copies, signs = draw(start, min(hi, start + size))
         program = step_program(*pack_block(segments), record=record) if shared is None else shared
         recorded = run_steps(program, copies, signs)
         yield from zip(copies, signs, recorded)
+
+
+def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bit-battery trials lo .. hi-1: their (B, t, W) final copies,
+    condition-matrix ranks (none unless ``record``), distinct flags and
+    CCX counts."""
+    algorithm, base, record, words, master_seed, lo, hi = span
+    program = gate_opt_program if algorithm == "gate-opt" else depth_opt_program
+    n, k, t = base.n, base.k, base.t
+    finals = np.zeros((hi - lo, t, words_needed(n)), dtype=np.uint64)
+    ranks = np.zeros(hi - lo if record else 0, dtype=np.int64)
+    distinct = np.zeros(hi - lo, dtype=bool)
+    ccx = np.zeros(hi - lo, dtype=np.int64)
+    per_gate_ccx = ccx_ladder_count(base.m)
+
+    def draw(a: int, b: int):
+        prog = program(base, [derive_seed(master_seed, "bit-circuit", i) for i in range(a, b)])
+        ccx[a - lo : b - lo] = prog.fired.sum(axis=1) * per_gate_ccx
+        copies = sample_initial_block(n, k, t, [stream(master_seed, "bit-copies", i) for i in range(a, b)])
+        return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
+
+    for j, (copies, signs, recorded) in enumerate(run_blocks(lo, hi, draw, words, record)):
+        finals[j] = copies
+        if record:
+            ranks[j] = rank(BitMatrix.from_dense(recorded))
+        distinct[j] = CopyEnsemble(n, copies, signs, check=False).is_distinct()
+    return finals, ranks, distinct, ccx
 
 
 def run_bit_battery(
@@ -152,36 +227,30 @@ def run_bit_battery(
     Trials run the rows of ``gate_opt_program`` or ``depth_opt_program``
     through ``run_blocks``; no gate objects are built.  Every gate
     carries m controls, so a trial's CCX total is its gate count times
-    the ladder cost.
+    the ladder cost.  Spans of trials run on every core this process may
+    use (``_map_spans``); every parameter is checked here first.
     """
     if algorithm not in ("gate-opt", "depth-opt"):
         raise ValueError(f"unknown bit thermalizer {algorithm!r}")
     base = GenParams(n=n, k=k, t=t, alpha=alpha, m=m)
-    if algorithm == "gate-opt":
-        program, table = gate_opt_program, _gate_opt_stages(base)
-    else:
-        program, table = depth_opt_program, _depth_opt_stages(base)
-    result = BitBatteryResult(ensembles=[])
-    per_gate_ccx = ccx_ladder_count(m)
+    table = _gate_opt_stages(base) if algorithm == "gate-opt" else _depth_opt_stages(base)
+    check_initial_shape(n, k, t)
     # stage-1 gate-opt rounds read only [1, k], which no stage-1 round
     # writes: their satisfaction is the condition matrix
     record = range(base.rounds) if algorithm == "gate-opt" and diagnostics else ()
-
-    def draw(lo: int, hi: int):
-        prog = program(base, [derive_seed(master_seed, "bit-circuit", i) for i in range(lo, hi)])
-        result.ccx_counts += (prog.fired.sum(axis=1) * per_gate_ccx).tolist()
-        copies = sample_initial_block(n, k, t, [stream(master_seed, "bit-copies", i) for i in range(lo, hi)])
-        return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
-
-    for copies, signs, recorded in run_blocks(trials, draw, _trial_words(n, t, table), record):
-        final = CopyEnsemble(n, copies, signs, check=False)
-        if record:
-            x_rank = rank(BitMatrix.from_dense(recorded))
-            result.x_ranks.append(x_rank)
-            result.x_full_rank.append(x_rank == t)
-        result.ensembles.append(final)
-        result.distinct.append(final.is_distinct())
-    return result
+    words = _trial_words(n, t, table)
+    spans = _map_spans(
+        _bit_span, (algorithm, base, record, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words), None
+    )
+    finals, ranks, distinct, ccx = (np.concatenate(parts) for parts in zip(*spans))
+    signs = np.ones((trials, t), dtype=np.int8)
+    return BitBatteryResult(
+        ensembles=[CopyEnsemble(n, c, s, check=False) for c, s in zip(finals, signs)],
+        x_full_rank=(ranks == t).tolist(),
+        x_ranks=ranks.tolist(),
+        distinct=distinct.tolist(),
+        ccx_counts=ccx.tolist(),
+    )
 
 
 @dataclass
@@ -191,6 +260,23 @@ class SignTrialResult:
     gate_counts: list[int]
 
 
+def _sign_span(span: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Sign trials lo .. hi-1: their (B, t) final signs and gate counts."""
+    n, p, alpha, t, m, words, master_seed, lo, hi = span
+    signs = np.zeros((hi - lo, t), dtype=np.int8)
+    gates = np.zeros(hi - lo, dtype=np.int64)
+
+    def draw(a: int, b: int):
+        prog = sign_program(n, p, alpha, t, m, seeds=[derive_seed(master_seed, "sign-circuit", i) for i in range(a, b)])
+        gates[a - lo : b - lo] = prog.fired.sum(axis=1)
+        copies = sample_initial_block(n, n, t, [stream(master_seed, "sign-copies", i) for i in range(a, b)])
+        return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
+
+    for j, (_, final, _) in enumerate(run_blocks(lo, hi, draw, words)):
+        signs[j] = final
+    return signs, gates
+
+
 def run_sign_trials(
     n: int, p: int, alpha: float, t: int, m: int, trials: int, master_seed: int
 ) -> SignTrialResult:
@@ -198,20 +284,18 @@ def run_sign_trials(
     copies of the full n-bit space per trial; collects final sign vectors.
 
     Each trial's fired slots run through ``run_blocks`` as diagonal
-    rows, one step, since sign gates write no site.
+    rows, one step, since sign gates write no site.  Spans of trials run
+    on every core this process may use (``_map_spans``); every parameter
+    is checked here first.
     """
-    gate_counts: list[int] = []
-    words = _trial_words(n, t, _sign_stages(n, p, alpha, t, m))
-
-    def draw(lo: int, hi: int):
-        seeds = [derive_seed(master_seed, "sign-circuit", i) for i in range(lo, hi)]
-        prog = sign_program(n, p, alpha, t, m, seeds=seeds)
-        gate_counts.extend(prog.fired.sum(axis=1).tolist())
-        copies = sample_initial_block(n, n, t, [stream(master_seed, "sign-copies", i) for i in range(lo, hi)])
-        return prog.rows(), copies, np.ones((hi - lo, t), dtype=np.int8)
-
-    vectors = [signs for _, signs, _ in run_blocks(trials, draw, words)]
-    return SignTrialResult(vectors, ceil_rounds(alpha * t / p), gate_counts)
+    [stage] = _sign_stages(n, p, alpha, t, m)
+    check_initial_shape(n, n, t)
+    words = _trial_words(n, t, [stage])
+    spans = _map_spans(
+        _sign_span, (n, p, alpha, t, m, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words), None
+    )
+    signs, gates = (np.concatenate(parts) for parts in zip(*spans))
+    return SignTrialResult(list(signs), stage.rounds, gates.tolist())
 
 
 def ensemble_subsets(ensembles: Sequence[CopyEnsemble]) -> list[tuple[int, ...]]:
@@ -252,7 +336,7 @@ def moment_states(
         copies, signs = np.tile(initial.images, (hi - lo, 1, 1)), np.tile(initial.signs, (hi - lo, 1))
         return bit_prog.rows() + sign_prog.rows(), copies, signs
 
-    for images, signs, _ in run_blocks(samples, draw, words):
+    for images, signs, _ in run_blocks(0, samples, draw, words):
         yield subsetstate.SubsetState(n, k, images, signs)
 
 
@@ -334,9 +418,9 @@ def run_moment_experiment(
     )
 
 
-def _mc_rank_chunk(args: tuple[int, int, float, int, int, int]) -> int:
-    """Full-rank hits over one contiguous block of trial streams."""
-    rows, cols, p, master_seed, lo, hi = args
+def _mc_rank_span(span: tuple[int, int, float, int, int, int]) -> int:
+    """Full-rank hits over one contiguous span of trial streams."""
+    rows, cols, p, master_seed, lo, hi = span
     hits = 0
     for i in range(lo, hi):
         m = sample_bernoulli_matrix(rows, cols, p, stream(master_seed, "rank-mc", i))
@@ -350,19 +434,15 @@ def monte_carlo_full_rank_streamed(
 ) -> MonteCarloEstimate:
     """Full-rank frequency with one named stream per trial index.
 
-    The per-trial streams make the result independent of chunking, so any
-    worker count reproduces the single-process answer bit for bit.
+    The per-trial streams make the result independent of how the trials
+    split into spans, so any worker count reproduces the single-process
+    answer bit for bit (``_map_spans``).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    chunk = max(64, -(-trials // max(workers, 1)))
-    spans = [(rows, cols, p, master_seed, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    # the pool starts all its workers at once: no more than spans or
-    # cores, and a pool of one would only fork a copy of this process
-    size = min(workers, len(spans), os.cpu_count() or 1)
-    if size <= 1:
-        hits = sum(map(_mc_rank_chunk, spans))
-    else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            hits = sum(pool.map(_mc_rank_chunk, spans))
+    if rows < 0 or cols < 0:
+        raise ValueError("rows and cols must not be negative")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    hits = sum(_map_spans(_mc_rank_span, (rows, cols, p, master_seed), trials, _RANK_SPAN_TRIALS, workers))
     return MonteCarloEstimate(hits / trials, wilson_interval(hits, trials), hits, trials)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,10 +55,11 @@ from .rng import stream_words
 _EMPTY_LAYER = Layer(())
 
 
-def ceil_rounds(x: float) -> int:
-    """ceil(x) with a relative epsilon guard against float fuzz like
-    ceil(0.1*30) -> 4."""
-    return max(1, math.ceil(x - 1e-9 * max(1.0, abs(x))))
+def ceil_rounds(alpha: float, t: int, p: int) -> int:
+    """ceil(alpha*t/p), at least 1, computed exactly from the shortest
+    decimal that reads back as ``alpha`` (its repr): 0.1*30 gives 3, not
+    the 4 of float arithmetic, and no round is lost at large alpha*t."""
+    return max(1, math.ceil(Fraction(repr(float(alpha))) * t / p))
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class GenParams:
 
     @property
     def rounds(self) -> int:
-        return ceil_rounds(self.alpha * self.t)
+        return ceil_rounds(self.alpha, self.t, 1)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "k": self.k, "t": self.t, "alpha": self.alpha, "m": self.m}
@@ -138,7 +140,7 @@ def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p:
     are rejected; the draws check the rest.
     """
     if algorithm == "gate-opt":
-        rounds = ceil_rounds(alpha * t)
+        rounds = ceil_rounds(alpha, t, 1)
         return [Stage(0, rounds, 1, k, n - k, 1, 1), Stage(1, rounds, k + 1, n - k, k, 1, 1)]
     if algorithm == "depth-opt":
         if m > k:
@@ -147,7 +149,7 @@ def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p:
             raise ValueError("depth-opt requires k < n")
         if (n - k) // m < 1:
             raise ValueError("closing phase needs at least one group: n-k >= m")
-        rounds = ceil_rounds(alpha * t)
+        rounds = ceil_rounds(alpha, t, 1)
         table = []
         s = k
         while s < n:
@@ -159,7 +161,7 @@ def stage_table(algorithm: str, n: int, k: int, t: int, alpha: float, m: int, p:
     if algorithm == "sign":
         if p is None:
             raise ValueError("the sign thermalizer needs p (parallel slots per layer)")
-        return [Stage(0, ceil_rounds(alpha * t / p), 1, m * p, p, p, p)]
+        return [Stage(0, ceil_rounds(alpha, t, p), 1, m * p, p, p, p)]
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 

@@ -9,7 +9,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from subsetphase import cli, generators, subsetstate
+from subsetphase import cli, drivers, generators, subsetstate
 from subsetphase.circuit import MCX, ControlTerm, Gate
 from subsetphase.copysim import CopyEnsemble, _full_condition, sample_initial_copies
 from subsetphase.generators import GenParams, gate_opt_thermalizer, sign_thermalizer, stage_table
@@ -201,6 +201,21 @@ def first_layout_draw_stages(algorithm, table, m, seeds, firing_only=False):
         kept = m * row.groups
         shape = (len(rngs), row.rounds, row.groups, m)
         yield row, bits, coins[:, :, :kept].reshape(shape), row.first + offsets[:, :, :kept].reshape(shape)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of every process pool that ``drivers._map_spans`` starts;
+    the pools are real."""
+    sizes = []
+    real = drivers.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(drivers, "ProcessPoolExecutor", recording)
+    return sizes
 
 
 @pytest.fixture

@@ -86,7 +86,7 @@ def test_criterion_2_rank_bound_at_desk_scale():
 
 def test_criterion_3_serial_thermalizer_few_copies():
     n, k, t, m, alpha, trials = 64, 24, 8, 2, 6.0, 2000
-    assert ceil_rounds(alpha * t) == 48
+    assert ceil_rounds(alpha, t, 1) == 48
     battery = drivers.run_bit_battery("gate-opt", n, k, t, m, alpha, trials, master_seed=300)
     freq = battery.x_full_rank_frequency
     marginal = stats.marginal_bias_test(battery.ensembles, seed=300)
@@ -191,7 +191,7 @@ def test_criterion_6_sign_thermalizer():
     # (b) many copies: 6-site conditions, floor(64/6)=10 parallel slots
     t_b, m_b, p_b = 256, 6, 10
     alpha_b = float(math.ceil(2 * math.log(n)))
-    expected_layers = ceil_rounds(alpha_b * t_b / p_b)
+    expected_layers = ceil_rounds(alpha_b, t_b, p_b)
     circuit_b = sign_thermalizer(n, p_b, alpha_b, t_b, m_b, seed=derive_seed(601, "sign-circuit", 0))
     run_b = drivers.run_sign_trials(n, p_b, alpha_b, t_b, m_b, 10_000, master_seed=601)
     sign_b = stats.sign_vector_test(run_b.sign_vectors, 8, seed=601)

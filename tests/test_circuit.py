@@ -242,6 +242,19 @@ class TestMalformedJson:
         with pytest.raises(ValueError):
             circuit_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["n", "pos", "val", "target"])
+    def test_non_integral_number_names_its_key(self, key):
+        obj = self.gate_obj()
+        gate = obj["layers"][1][0]
+        where = {"n": obj, "pos": gate["controls"][0], "val": gate["controls"][0], "target": gate}[key]
+        integral = where[key]
+        where[key] = integral + 0.5
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {integral + 0.5}"):
+            circuit_from_obj(obj)
+        # an integral float reads as its int
+        where[key] = float(integral)
+        assert circuit_from_obj(obj) == circuit_from_obj(self.gate_obj())
+
 
 class TestDepthModelInvariant:
     def test_decomposed_at_least_unit(self):

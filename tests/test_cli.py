@@ -1,12 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from subsetphase import cli
+from subsetphase import cli, drivers
 
 
 def run_cli(*args, cwd=None):
@@ -21,6 +24,18 @@ def run_cli(*args, cwd=None):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def run_main(monkeypatch, capsys, *args):
+    """``cli.main`` in this process, so that patches reach its workers:
+    its exit code and standard error."""
+    monkeypatch.setattr(sys, "argv", ["subsetphase", *args])
+    try:
+        cli.main()
+        code = 0
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().err
 
 
 GEN_SMALL = [
@@ -218,6 +233,25 @@ class TestSim:
         assert f"error: {message}" in res.stderr
         assert not rep.exists()
 
+    @pytest.mark.parametrize("value,message", [(2.7, "pos must be an integer, got 2.7"), (3.0, None)])
+    def test_non_integral_number_exits_1_naming_the_key(self, tmp_path, value, message):
+        circ = tmp_path / "c.json"
+        rep = tmp_path / "r.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        obj = read_json(circ)
+        layer = next(i for i, layer in enumerate(obj["layers"]) if layer)
+        obj["layers"][layer][0]["controls"][0]["pos"] = value
+        circ.write_text(json.dumps(obj))
+        res = run_cli("sim", "--circuit", str(circ), "--report", str(rep))
+        assert "Traceback" not in res.stderr
+        if message is None:
+            # an integral float reads as its int
+            assert res.returncode == 0, res.stderr
+        else:
+            assert res.returncode == 1
+            assert f"error: layer {layer} gate 0: {message}" in res.stderr
+            assert not rep.exists()
+
     def test_unreadable_circuit_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -264,6 +298,99 @@ class TestRankMc:
         assert "Traceback" not in res.stderr
         assert "--threads" in res.stderr
         assert not out.exists()
+
+
+def _killed_span(span):
+    """A rank-mc span whose worker process is killed."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def forking(monkeypatch, pools):
+    """Two cores and spans of one block, so that small runs fork; the
+    size of every pool started (``pools``)."""
+    monkeypatch.setattr(drivers, "_core_count", lambda: 2)
+    monkeypatch.setattr(drivers, "_SPAN_BLOCKS", 1)
+    return pools
+
+
+class TestWorkers:
+    """Commands that run their trials in a process pool."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suite", "bits", "--n", "16", "--k", "6", "--t", "2", "--alpha", "4", "--m", "2",
+             "--trials", "1000", "--seed", "5"],
+            ["--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4", "--m", "2", "--p", "4",
+             "--trials", "10000", "--seed", "6"],
+            ["--suite", "subsets", "--algorithm", "depth-opt", "--n", "16", "--k", "8", "--t", "4",
+             "--alpha", "4", "--m", "2", "--trials", "300", "--seed", "5"],
+        ],
+        ids=["bits", "signs", "subsets"],
+    )
+    def test_verify_forks_and_writes_the_one_worker_bytes(self, monkeypatch, tmp_path, forking, args):
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(drivers, "_core_count", lambda: cores)
+            rep = tmp_path / f"v{cores}.json"
+            res = CliRunner().invoke(cli.cli, ["verify", *args, "--report", str(rep)])
+            assert res.exit_code == 0, (res.output, res.exception)
+            reports.append(rep.read_bytes())
+        assert forking == [2]
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    def test_failing_verify_leaves_no_worker(self, monkeypatch, capsys, tmp_path, forking):
+        # 2 rounds cannot thermalize; marginal bias fails under --strict.
+        # Blocks of 72 of its 14-word trials make spans.
+        monkeypatch.setattr(drivers, "_BLOCK_CELLS", 1000)
+        code, err = run_main(
+            monkeypatch, capsys, "verify", "--suite", "bits", "--n", "16", "--k", "6", "--t", "2",
+            "--alpha", "1.0", "--m", "2", "--trials", "1000", "--seed", "5", "--strict",
+            "--report", str(tmp_path / "v.json"),
+        )
+        assert (code, forking) == (2, [2])
+        assert "strict check failed" in err
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_exits_1(self, monkeypatch, capsys, tmp_path, forking):
+        def broken(*args, **kwargs):
+            raise ValueError("no program in this worker")
+
+        # only the workers draw programs: the parent checks the stage table
+        monkeypatch.setattr(drivers, "sign_program", broken)
+        rep = tmp_path / "v.json"
+        code, err = run_main(
+            monkeypatch, capsys, "verify", "--suite", "signs", "--n", "16", "--t", "4", "--alpha", "4",
+            "--m", "2", "--p", "4", "--trials", "10000", "--seed", "6", "--report", str(rep),
+        )
+        assert (code, forking) == (1, [2])
+        assert "error: no program in this worker" in err
+        assert "Traceback" not in err
+        assert not rep.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_1_with_a_message(self, monkeypatch, capsys, tmp_path, forking):
+        monkeypatch.setattr(drivers, "_mc_rank_span", _killed_span)
+        out = tmp_path / "mc.json"
+        code, err = run_main(
+            monkeypatch, capsys, "rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
+            "--threads", "2", "--out", str(out),
+        )
+        assert (code, forking) == (1, [2])
+        assert "error: a worker process died" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_rank_mc_checks_p_before_the_pool(self, monkeypatch, capsys, tmp_path, forking):
+        code, err = run_main(
+            monkeypatch, capsys, "rank-mc", "--rows", "3", "--cols", "8", "--p", "1.5", "--trials", "600",
+            "--threads", "2", "--out", str(tmp_path / "mc.json"),
+        )
+        assert (code, forking) == (1, [])
+        assert "error: p must lie in [0, 1]" in err
 
 
 class TestBounds:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -46,7 +48,8 @@ def reference_battery(algorithm, n, k, t, m, alpha, trials, master_seed, diagnos
 
 @pytest.fixture
 def block_sizes(monkeypatch):
-    """Trials in each kernel call that ``drivers.run_blocks`` makes."""
+    """Trials in each kernel call that ``drivers.run_blocks`` makes, on
+    one core, so that every call is made in this process."""
     sizes = []
     run_steps = drivers.run_steps
 
@@ -55,6 +58,7 @@ def block_sizes(monkeypatch):
         return run_steps(prog, copies, signs)
 
     monkeypatch.setattr(drivers, "run_steps", counted)
+    monkeypatch.setattr(drivers, "_core_count", lambda: 1)
     return sizes
 
 
@@ -351,18 +355,94 @@ def test_moment_guard_runs_before_sampling(monkeypatch):
         drivers.run_moment_experiment(6, 4, 3, 5000, master_seed=0)
 
 
+@pytest.fixture
+def short_spans(monkeypatch):
+    """Three cores, and spans of as little as one block of a few trials,
+    so that small runs split unevenly and off the block boundaries."""
+    monkeypatch.setattr(drivers, "_core_count", lambda: 3)
+    monkeypatch.setattr(drivers, "_SPAN_BLOCKS", 1)
+    monkeypatch.setattr(drivers, "_BLOCK_CELLS", 300)
+
+
+def on_each_core_count(monkeypatch, run):
+    """``run()`` on 1, 2 and 3 cores."""
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(drivers, "_core_count", lambda: cores)
+        runs.append(run())
+    return runs
+
+
+class TestWorkerCountInvariance:
+    """Spans on 1, 2 and 3 worker processes give the same results."""
+
+    def test_sign_trials(self, monkeypatch, short_spans, pools):
+        # 200-word trials make blocks of 2; 41 trials split 13 + 14 + 14
+        runs = on_each_core_count(monkeypatch, lambda: drivers.run_sign_trials(70, 8, 8.0, 4, 3, 41, 61))
+        assert pools == [2, 3]
+        for run in runs[1:]:
+            assert run.layer_count == runs[0].layer_count
+            assert run.gate_counts == runs[0].gate_counts
+            assert np.array_equal(run.sign_vectors, runs[0].sign_vectors)
+        assert len(runs[0].sign_vectors) == 41
+
+    @pytest.mark.parametrize(
+        "algorithm,diagnostics", [("gate-opt", True), ("gate-opt", False), ("depth-opt", True)]
+    )
+    def test_bit_battery(self, monkeypatch, short_spans, pools, algorithm, diagnostics):
+        # gate-opt's 57-word trials make blocks of 6; 31 trials split
+        # 10 + 10 + 11
+        args = (40, 12, 3, 2, 3.0, 31, 62)
+        runs = on_each_core_count(
+            monkeypatch, lambda: drivers.run_bit_battery(algorithm, *args, diagnostics=diagnostics)
+        )
+        assert pools == [2, 3]
+        for run in runs[1:]:
+            assert_same_battery(run, runs[0])
+        assert len(runs[0].ensembles) == 31
+        assert len(runs[0].x_ranks) == (31 if algorithm == "gate-opt" and diagnostics else 0)
+        assert_same_battery(runs[0], reference_battery(algorithm, *args, diagnostics=diagnostics))
+
+    def test_rank_mc(self, short_spans, pools):
+        # 64-trial spans at least: 601 trials split 200 + 200 + 201
+        runs = [drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4, workers=w) for w in (1, 2, 3)]
+        assert pools == [2, 3]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_no_trials_start_no_pool(self, short_spans, pools):
+        battery = drivers.run_bit_battery("gate-opt", 16, 6, 4, 2, 4.0, 0, 1)
+        assert battery.ensembles == [] and battery.x_ranks == [] and battery.ccx_counts == []
+        assert drivers.run_sign_trials(70, 8, 8.0, 4, 3, 0, 61).sign_vectors == []
+        assert pools == []
+
+
+def test_no_pool_where_the_platform_cannot_fork(monkeypatch, short_spans, pools):
+    # a worker started by spawn or forkserver imports numpy afresh, which
+    # costs more than a span saves
+    runs = []
+    for methods in (["fork", "spawn"], ["spawn"]):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        signs = drivers.run_sign_trials(70, 8, 8.0, 4, 3, 41, 61)
+        ranks = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4, workers=3)
+        runs.append((signs.sign_vectors, ranks))
+    assert pools == [3, 3]
+    assert np.array_equal(runs[1][0], runs[0][0]) and runs[1][1] == runs[0][1]
+
+
 @pytest.mark.parametrize(
     "workers,cores,pool",
     [(10**6, 8, 8), (10**6, 64, 10), (3, 64, 3), (5, None, 1)],
 )
 def test_rank_mc_pool_is_capped(monkeypatch, workers, cores, pool):
-    # 600 trials make spans of at least 64, so at most ten of them
-    sizes = []
+    # 640 trials make spans of at least 64, so at most ten of them; the
+    # pool is min(workers, spans, cores)
+    sizes, spans = [], []
 
     class RecordingPool:
         """Runs the spans in this process and records the pool size."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -371,12 +451,27 @@ def test_rank_mc_pool_is_capped(monkeypatch, workers, cores, pool):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, spans):
-            return map(fn, spans)
+        def map(self, fn, args):
+            spans.extend(span[-2:] for span in args)
+            return map(fn, args)
 
-    want = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 600, 4)
+    want = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4)
     monkeypatch.setattr(drivers, "ProcessPoolExecutor", RecordingPool)
+    # a platform without an affinity mask reads its core count, if any
+    monkeypatch.delattr(drivers.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(drivers.os, "cpu_count", lambda: cores)
-    assert drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 600, 4, workers=workers) == want
+    assert drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4, workers=workers) == want
     # a pool of one runs in this process instead
     assert sizes == ([pool] if pool > 1 else [])
+    if pool > 1:
+        # contiguous spans of near-equal size cover every trial once, in order
+        assert len(spans) == pool and spans[0][0] == 0 and spans[-1][1] == 640
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        assert max(hi - lo for lo, hi in spans) - min(hi - lo for lo, hi in spans) <= 1
+
+
+def test_core_count_reads_the_affinity_mask(monkeypatch):
+    # the fallback to the core count is test_rank_mc_pool_is_capped's
+    monkeypatch.setattr(drivers.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(drivers.os, "cpu_count", lambda: 64)
+    assert drivers._core_count() == 3

@@ -47,14 +47,19 @@ from conftest import depth_opt_stage_count, prmc, rmc, stage_blocks
 
 class TestCeilRounds:
     def test_plain(self):
-        assert ceil_rounds(6.0) == 6
-        assert ceil_rounds(6.1) == 7
+        assert ceil_rounds(6.0, 1, 1) == 6
+        assert ceil_rounds(6.1, 1, 1) == 7
 
     def test_float_fuzz(self):
-        assert ceil_rounds(0.1 * 30) == 3  # 0.1*30 = 3.0000000000000004
+        assert ceil_rounds(0.1, 30, 1) == 3  # 0.1*30 = 3.0000000000000004
+
+    def test_no_round_dropped_at_large_alpha(self):
+        assert ceil_rounds(1e12, 1, 1) == 10**12
+        assert ceil_rounds(25000000.01, 1, 1) == 25000001
+        assert ceil_rounds(1e9, 3, 7) == 428571429
 
     def test_floor_at_one(self):
-        assert ceil_rounds(1e-12) == 1
+        assert ceil_rounds(1e-12, 1, 1) == 1
 
 
 class TestRmc:
@@ -629,7 +634,7 @@ class TestSignThermalizer:
     def test_layer_count_formula(self):
         for alpha, t, p in ((9.0, 256, 10), (3.0, 5, 4), (2.0, 7, 3)):
             c = sign_thermalizer(n=64, p=p, alpha=alpha, t=t, m=6 if p == 10 else 2, seed=1)
-            assert len(c.layers) == ceil_rounds(alpha * t / p)
+            assert len(c.layers) == ceil_rounds(alpha, t, p)
 
     def test_m1_degenerates_to_single_site_condition(self):
         c = sign_thermalizer(n=16, p=16, alpha=4.0, t=4, m=1, seed=2)
@@ -683,7 +688,7 @@ def prmc_sign_reference(n: int, p: int, alpha: float, t: int, m: int, seed: int)
     the stream ("gen", "sign", 0), on the window [1, m*p]."""
     rng = stream(seed, "gen", "sign", 0)
     layers = []
-    for groups, apply_bits in prmc(n, 1, m * p, m, p, rng, ceil_rounds(alpha * t / p)):
+    for groups, apply_bits in prmc(n, 1, m * p, m, p, rng, ceil_rounds(alpha, t, p)):
         layers.append(Layer([
             Gate(SIGNED_MCZ, tuple(sorted(g[:-1], key=lambda c: c.position)), g[-1].position,
                  target_value=g[-1].required_value)

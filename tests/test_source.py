@@ -42,31 +42,38 @@ def test_drivers_run_programs_only():
     assert found == [], f"drivers.py reaches for circuit objects: {found}"
 
 
-def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
-    """Every call of ``name`` under ``src/`` with the innermost function
-    that makes it, as (call, "module.function")."""
+def _nodes_by_function(match) -> list[tuple[ast.AST, str]]:
+    """Every node under ``src/`` that ``match`` accepts, with the innermost
+    function around it, as (node, "module.function")."""
     found = []
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, module: str):
             self.scope = [module]
 
-        def visit_FunctionDef(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Call(self, node):
-            func = node.func
-            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+        def visit(self, node):
+            if match(node):
                 found.append((node, f"{self.scope[0]}.{self.scope[-1]}"))
+            function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if function:
+                self.scope.append(node.name)
             self.generic_visit(node)
+            if function:
+                self.scope.pop()
 
     for path in SOURCES:
         Visitor(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
     return found
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def _calls_by_function(name: str) -> list[tuple[ast.Call, str]]:
+    """Every call of ``name`` under ``src/`` with the innermost function
+    that makes it, as (call, "module.function")."""
+    return _nodes_by_function(lambda node: isinstance(node, ast.Call) and _names(node.func, name))
 
 
 READER = "_draw_stages"
@@ -200,6 +207,20 @@ def test_only_run_blocks_drives_the_kernel():
         if where.partition(".")[0] in ("drivers", "cli")
     }
     assert callers == {(name, "drivers.run_blocks") for name in KERNEL_CALLS}
+
+
+def test_one_process_pool():
+    # trial loops reach other processes through one helper, which picks
+    # the start method and closes and joins its pool on every path
+    users = sorted({where for _, where in _nodes_by_function(lambda node: _names(node, "ProcessPoolExecutor"))})
+    assert users == ["drivers._map_spans"], users
+    imported = [
+        (where, name)
+        for node, where in _nodes_by_function(lambda node: isinstance(node, (ast.Import, ast.ImportFrom)))
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+        if name and name.partition(".")[0] in ("multiprocessing", "threading")
+    ]
+    assert imported == [("drivers._map_spans", "multiprocessing")], imported
 
 
 # scipy subpackages that take a second or more to import between them;
