@@ -52,7 +52,7 @@ from .generators import (
     sign_cost_profile,
     sign_thermalizer,
 )
-from .rng import RNG_KIND, derive_seed, stream
+from .rng import RNG_KIND, TrialStreams, derive_seed
 
 
 # ``verify --trials`` defaults; the sign test refuses fewer than 10^4
@@ -161,7 +161,7 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
     program = compile_circuit(circuit.layers, words_needed(n), probes or ())
 
     def draw(lo: int, hi: int):
-        copies = sample_initial_block(n, k, t, [stream(seed, "sim-copies", i) for i in range(lo, hi)])
+        copies = sample_initial_block(n, k, t, TrialStreams(seed, "sim-copies", lo, hi))
         return (), copies, np.ones((hi - lo, t), dtype=np.int8)
 
     bit_totals = 0
@@ -328,7 +328,7 @@ def moments(n, k, t, samples, alpha_bit, m_bit, alpha_sign, m_sign, p_sign, seed
 @click.option("--alpha", type=float, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--p", type=int, default=None, help="Sign suite: parallel slots per layer.")
-@click.option("--trials", type=int, default=None,
+@click.option("--trials", type=click.IntRange(min=1), default=None,
               help=f"Trials [default: {VERIFY_TRIALS}; {SIGN_VERIFY_TRIALS} for --suite signs].")
 @click.option("--seed", type=int, default=0)
 @click.option("--regime", type=click.Choice(analysis.REGIMES), default=None)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .circuit import MCX, SIGNED_MCZ, Circuit, ControlTerm, Gate
 from .f2linalg import BitMatrix
+from .rng import TrialStreams
 
 
 def words_needed(n: int) -> int:
@@ -140,25 +141,37 @@ class CopyEnsemble:
         return f"CopyEnsemble(n={self.n}, t={self.t})"
 
 
-def random_bitstrings(rngs: Sequence[np.random.Generator], count: int, nbits: int, n: int) -> np.ndarray:
-    """(B, count, words_needed(n)) uint64 with the low ``nbits`` bits
-    uniform, row set b drawn from ``rngs[b]``: the next count ·
-    words_needed(nbits) raw words of its bit generator, the words
-    ``rng.bytes`` would read."""
-    W = words_needed(n)
-    out = np.zeros((len(rngs), count, W), dtype=np.uint64)
-    w_rand = words_needed(nbits) if nbits else 0
-    if w_rand:
-        for b, rng in enumerate(rngs):
-            out[b, :, :w_rand] = rng.bit_generator.random_raw(count * w_rand).reshape(count, w_rand)
-        out[..., :w_rand] &= _word_masks(nbits)[:w_rand]
+def _strings(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(B, c, words_needed(n)) elements of {0,1}^k x 0^(n-k) from (B, c ·
+    words_needed(k)) raw words, each string the next words_needed(k) of
+    its row: the words ``rng.bytes`` would read."""
+    w = words_needed(k)
+    out = np.zeros((len(words), words.shape[1] // w, words_needed(n)), dtype=np.uint64)
+    out[..., :w] = words.reshape(len(words), -1, w) & _word_masks(k)[:w]
     return out
+
+
+class _OneStream:
+    """One ``Generator`` read as a block of one stream, as
+    ``rng.TrialStreams`` is read: the Generator reads on past its words."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def __len__(self) -> int:
+        return 1
+
+    def words(self, count: int) -> np.ndarray:
+        return self.rng.bit_generator.random_raw(count)[None]
+
+    def __getitem__(self, b: int) -> np.random.Generator:
+        return self.rng
 
 
 def sample_initial_copies(n: int, k: int, t: int, rng: np.random.Generator) -> CopyEnsemble:
     """t distinct uniform elements of {0,1}^k x 0^(n-k), all signs +1:
     ``sample_initial_block`` for one stream."""
-    copies = sample_initial_block(n, k, t, [rng])[0]
+    copies = sample_initial_block(n, k, t, _OneStream(rng))[0]
     return CopyEnsemble(n, copies, np.ones(t, dtype=np.int8), check=False)
 
 
@@ -179,33 +192,39 @@ def check_initial_shape(n: int, k: int, t: int) -> None:
         raise ValueError("dense sampling of a domain this large is not supported")
 
 
-def sample_initial_block(n: int, k: int, t: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(B, t, W) copies: for each stream of ``rngs``, t distinct uniform
-    elements of {0,1}^k x 0^(n-k).
+def _pool_size(t: int) -> int:
+    return max(2 * t, 64)
+
+
+def sample_initial_block(n: int, k: int, t: int, streams: TrialStreams | _OneStream) -> np.ndarray:
+    """(B, t, W) copies: for each trial stream of ``streams``, t distinct
+    uniform elements of {0,1}^k x 0^(n-k).
 
     Small domains (2^k up to ~4M, or t a large fraction of the domain)
-    are sampled by slicing a random permutation, which stays exact even
-    at t = 2^k.  In a large sparse domain each stream draws a pool of
-    max(2t, 64) strings and keeps its first t distinct ones, in draw
-    order.  One sort over the block checks that each trial's first t
-    draws are distinct; only a trial where they collide dedupes its pool
-    (``_first_distinct``).
+    are sampled by slicing a random permutation of each trial's
+    ``Generator``, which stays exact even at t = 2^k.  In a large sparse
+    domain each trial draws a pool of max(2t, 64) strings and keeps its
+    first t distinct ones, in draw order; the pools are one block read
+    (``streams.words``).  One sort over the block checks that each
+    trial's first t draws are distinct; only a trial where they collide
+    dedupes its pool, topping it up from its own ``Generator``, which
+    reads on from where the pool ended (``_first_distinct``).
     """
     check_initial_shape(n, k, t)
     W = words_needed(n)
     if _dense_domain(k, t):
         domain = 1 << k
-        copies = np.zeros((len(rngs), t, W), dtype=np.uint64)
-        for b, rng in enumerate(rngs):
-            copies[b, :, 0] = rng.permutation(domain)[:t]
+        copies = np.zeros((len(streams), t, W), dtype=np.uint64)
+        for b in range(len(streams)):
+            copies[b, :, 0] = streams[b].permutation(domain)[:t]
         return copies
-    pools = random_bitstrings(rngs, max(2 * t, 64), k, n)
+    pools = _strings(streams.words(_pool_size(t) * words_needed(k)), k, n)
     copies = pools[:, :t].copy()
     # only the low words_needed(k) words vary; one of them compares as is
     firsts = copies[..., 0] if k <= 64 else copies.view(np.dtype((np.void, 8 * W)))[..., 0]
     ordered = np.sort(firsts, axis=1)
     for b in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-        copies[b] = _first_distinct(pools[b], rngs[b], n, k, t)
+        copies[b] = _first_distinct(pools[b], streams[b], n, k, t)
     return copies
 
 
@@ -220,7 +239,8 @@ def _first_distinct(pool: np.ndarray, rng: np.random.Generator, n: int, k: int, 
             return copies
         # rows kept so far are distinct and come first, so the first
         # occurrences keep them and append new rows in draw order
-        pool = np.concatenate([copies, random_bitstrings([rng], max(2 * t, 64), k, n)[0]])
+        top_up = rng.bit_generator.random_raw(_pool_size(t) * words_needed(k))
+        pool = np.concatenate([copies, _strings(top_up[None], k, n)[0]])
 
 
 # Largest temporary of the step kernel, in (trial, copy, row, word)

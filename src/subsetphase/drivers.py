@@ -6,7 +6,9 @@ the exact stream that produced it, however trials are grouped.  Every
 trial loop that simulates, ``sim``'s too, runs through ``run_blocks``,
 which asks for a block of trials at a time: the drivers draw a block's
 programs and initial copies together, one pass over its seeds, and
-pack its rows in one pass.
+pack its rows in one pass.  A block derives its circuit seeds with one
+``rng.block_seeds`` call and reads its copy pools through one
+``rng.TrialStreams``, one re-keyed ``Philox`` for the block.
 
 The sign trials, the bit battery and ``rank-mc`` split their trials into
 contiguous spans, one per core this process may use, and ``_map_spans``
@@ -53,7 +55,7 @@ from .generators import (
     gate_opt_program,
     sign_program,
 )
-from .rng import derive_seed, stream
+from .rng import TrialStreams, block_seeds, stream
 
 
 @dataclass
@@ -84,7 +86,10 @@ _BLOCK_CELLS = 1 << 14
 # A span of trials holds at least this many blocks, or rank-mc trials,
 # which have no blocks: a run too small to fill two spans stays in this
 # process and pays no pool start-up (about 20 ms for two forked workers).
-_SPAN_BLOCKS = 16
+# At 8, verify's 1000-trial gate-opt battery at n=64, k=24, t=8 (blocks
+# of 56) fills two spans: timed as the first call of fresh launches on 2
+# vCPUs it took 0.16-0.21 s as two spans against 0.19-0.31 s as one.
+_SPAN_BLOCKS = 8
 _RANK_SPAN_TRIALS = 64
 
 
@@ -194,9 +199,9 @@ def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     per_gate_ccx = ccx_ladder_count(base.m)
 
     def draw(a: int, b: int):
-        prog = program(base, [derive_seed(master_seed, "bit-circuit", i) for i in range(a, b)])
+        prog = program(base, block_seeds(master_seed, "bit-circuit", a, b))
         ccx[a - lo : b - lo] = prog.fired.sum(axis=1) * per_gate_ccx
-        copies = sample_initial_block(n, k, t, [stream(master_seed, "bit-copies", i) for i in range(a, b)])
+        copies = sample_initial_block(n, k, t, TrialStreams(master_seed, "bit-copies", a, b))
         return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
 
     for j, (copies, signs, recorded) in enumerate(run_blocks(lo, hi, draw, words, record)):
@@ -267,9 +272,9 @@ def _sign_span(span: tuple) -> tuple[np.ndarray, np.ndarray]:
     gates = np.zeros(hi - lo, dtype=np.int64)
 
     def draw(a: int, b: int):
-        prog = sign_program(n, p, alpha, t, m, seeds=[derive_seed(master_seed, "sign-circuit", i) for i in range(a, b)])
+        prog = sign_program(n, p, alpha, t, m, seeds=block_seeds(master_seed, "sign-circuit", a, b))
         gates[a - lo : b - lo] = prog.fired.sum(axis=1)
-        copies = sample_initial_block(n, n, t, [stream(master_seed, "sign-copies", i) for i in range(a, b)])
+        copies = sample_initial_block(n, n, t, TrialStreams(master_seed, "sign-copies", a, b))
         return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
 
     for j, (_, final, _) in enumerate(run_blocks(lo, hi, draw, words)):
@@ -330,8 +335,8 @@ def moment_states(
     )
 
     def draw(lo: int, hi: int):
-        bit_prog = gate_opt_program(bit_params, [derive_seed(master_seed, "moment-bit", i) for i in range(lo, hi)])
-        sign_seeds = [derive_seed(master_seed, "moment-sign", i) for i in range(lo, hi)]
+        bit_prog = gate_opt_program(bit_params, block_seeds(master_seed, "moment-bit", lo, hi))
+        sign_seeds = block_seeds(master_seed, "moment-sign", lo, hi)
         sign_prog = sign_program(n, p_sign, alpha_sign, t, m_sign, seeds=sign_seeds)
         copies, signs = np.tile(initial.images, (hi - lo, 1, 1)), np.tile(initial.signs, (hi - lo, 1))
         return bit_prog.rows() + sign_prog.rows(), copies, signs

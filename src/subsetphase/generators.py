@@ -23,7 +23,8 @@ reads its own stream ("gen", <algorithm>, j) as three blocks covering
 all of the stage's rounds: the firing bits (the target mask, or the
 apply bits), the polarity coins, then a float64 key matrix of shape
 (rounds, window).  The reader reads the raw words of the stage's stream
-of every seed of a block, one ``random_raw`` call each, cuts the three
+of every seed of a block, one ``random_raw`` call each on one ``Philox``
+re-keyed per seed (``rng.stream_words``), cuts the three
 blocks out of them as those ``Generator`` calls would read them, and
 sorts the whole block's keys in one argsort.  The window sites in
 ascending key order are a uniform arrangement whose consecutive chunks

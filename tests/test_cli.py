@@ -515,6 +515,22 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert not rep.exists()
 
+    @pytest.mark.parametrize(
+        "suite,trials", [("subsets", "-5"), ("subsets", "0"), ("bits", "-1"), ("signs", "0")]
+    )
+    def test_nonpositive_trials_exit_1_naming_the_flag(self, tmp_path, suite, trials):
+        # m = 3 > n - k = 2 fails as soon as a bit trial draws its circuit,
+        # so getting the flag's message shows the check runs first
+        rep = tmp_path / "v.json"
+        res = run_cli(
+            "verify", "--suite", suite, "--n", "16", "--k", "14", "--p", "4", "--t", "4",
+            "--alpha", "4.0", "--m", "3", "--trials", trials, "--seed", "6", "--report", str(rep),
+        )
+        assert res.returncode == 1
+        assert "--trials" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not rep.exists()
+
 
 class TestScaling:
     def test_csv_schema_and_exactness(self, tmp_path):

@@ -26,7 +26,7 @@ from subsetphase.generators import (
     gate_opt_program,
     gate_opt_thermalizer,
 )
-from subsetphase.rng import stream
+from subsetphase.rng import TrialStreams, stream
 from test_circuit import ccx, mcx, random_circuit
 
 from conftest import _pack_terms_words, _satisfied_words, apply_gate
@@ -104,7 +104,7 @@ class TestSampleInitialBlock:
 
         monkeypatch.setattr(copysim, "_first_distinct", counted)
         trials = 200
-        block = copysim.sample_initial_block(n, k, t, [stream(20, "block", i) for i in range(trials)])
+        block = copysim.sample_initial_block(n, k, t, TrialStreams(20, "block", 0, trials))
         assert block.shape == (trials, t, words_needed(n))
         dedupes = len(fallbacks)
         for i in range(trials):

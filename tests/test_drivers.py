@@ -403,6 +403,18 @@ class TestWorkerCountInvariance:
         assert len(runs[0].x_ranks) == (31 if algorithm == "gate-opt" and diagnostics else 0)
         assert_same_battery(runs[0], reference_battery(algorithm, *args, diagnostics=diagnostics))
 
+    def test_bit_battery_at_the_benchmark_shape(self, monkeypatch, pools):
+        # verify --suite bits at n=64, k=24, t=8: 1000 trials in blocks of
+        # 56 fill two spans of at least _SPAN_BLOCKS blocks on two cores
+        args = ("gate-opt", 64, 24, 8, 2, 6.0, 1000, 63)
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(drivers, "_core_count", lambda: cores)
+            runs.append(drivers.run_bit_battery(*args))
+        assert pools == [2]
+        assert_same_battery(runs[1], runs[0])
+        assert len(runs[0].x_ranks) == 1000
+
     def test_rank_mc(self, short_spans, pools):
         # 64-trial spans at least: 601 trials split 200 + 200 + 201
         runs = [drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4, workers=w) for w in (1, 2, 3)]

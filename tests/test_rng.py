@@ -1,11 +1,12 @@
 """The named streams: their keys, the key Philox runs on, and the raw
-words the generator streams are read from."""
+words the generator streams and the trial streams are read from, a
+block at a time."""
 
 import numpy as np
 import numpy.random.bit_generator
 import pytest
 
-from subsetphase.rng import derive_seed, stream, stream_key, stream_words
+from subsetphase.rng import TrialStreams, block_seeds, derive_seed, stream, stream_key, stream_words
 
 # stream_key(5, "gen", "sign", 0): one word below 2^63 and one above it
 SHA_WORDS = (3527113363713847396, 15705697461484566599)
@@ -93,3 +94,58 @@ class TestStreamWords:
         rng = stream(9, "pool")
         pools = [np.frombuffer(rng.bytes(8 * c), dtype="<u8") for c in (64, 3, 128)]
         assert np.array_equal(np.concatenate(pools), stream_words([9], "pool", count=195)[0])
+
+
+def key_kind(key) -> str:
+    """Which side of 2^63 the two words of a key lie on."""
+    high = [word >= 2**63 for word in key]
+    return "mixed" if high[0] != high[1] else ("high" if high[0] else "low")
+
+
+class TestBlockReads:
+    """One Philox a block, re-keyed per stream, reads what a fresh Philox
+    per stream would."""
+
+    @pytest.mark.parametrize(
+        "master_seed,tag,lo,hi", [(7, "sign-circuit", 0, 57), (2**63 + 5, "bit-circuit", 990, 1003)]
+    )
+    def test_block_seeds_are_derived_seeds(self, master_seed, tag, lo, hi):
+        assert block_seeds(master_seed, tag, lo, hi) == [derive_seed(master_seed, tag, i) for i in range(lo, hi)]
+        assert block_seeds(master_seed, tag, lo, lo) == []
+
+    def test_trial_words_equal_each_streams_words(self):
+        streams = TrialStreams(7, "keys", 0, 400)
+        kinds = [key_kind(stream_key(7, "keys", i)) for i in range(400)]
+        # exact keys on both sides of 2^63, and rounded mixed ones
+        assert min(kinds.count(kind) for kind in ("low", "mixed", "high")) > 50
+        words = streams.words(37)
+        assert words.shape == (400, 37) and words.dtype == np.uint64
+        for i, row in enumerate(words):
+            assert np.array_equal(row, stream(7, "keys", i).bit_generator.random_raw(37))
+
+    def test_a_block_keeps_the_rounded_key(self):
+        # the pinned mixed key is read rounded inside a block, as alone
+        reference = np.random.Philox(key=PHILOX_KEY).random_raw(20)
+        assert np.array_equal(np.random.Philox(key=SHA_WORDS).random_raw(20), reference)
+        assert np.array_equal(stream_words([5, 6, 5], "gen", "sign", 0, count=20)[[0, 2]], [reference] * 2)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_a_rekey_leaves_no_buffered_word(self, count):
+        # Philox makes four words at a time: a read of 1, 2 or 3 leaves
+        # the rest buffered, and a re-keyed stream must not start on them
+        seeds = list(range(9))
+        words = stream_words(seeds, "gen", "sign", 0, count=count)
+        for row, seed in zip(words, seeds):
+            assert np.array_equal(row, stream(seed, "gen", "sign", 0).bit_generator.random_raw(count))
+        trial_words = TrialStreams(3, "pool", 0, 9).words(count)
+        for i, row in enumerate(trial_words):
+            assert np.array_equal(row, stream(3, "pool", i).bit_generator.random_raw(count))
+
+    def test_a_trials_generator_reads_on_past_its_words(self):
+        streams = TrialStreams(4, "pool", 10, 16)
+        assert len(streams) == 6
+        words = streams.words(7)
+        for b in range(6):
+            whole = stream(4, "pool", 10 + b).bit_generator.random_raw(12)
+            assert np.array_equal(words[b], whole[:7])
+            assert np.array_equal(streams[b].bit_generator.random_raw(5), whole[7:])

@@ -131,6 +131,48 @@ def test_generators_draw_stage_blocks_not_rounds():
     assert {(opener, depth) for _, opener, depth in opened} == {("stream_words", 1)}, opened
 
 
+# the per-trial openers a block of trials reads through ``rng``'s block
+# reader instead: ``block_seeds`` and ``TrialStreams``
+PER_TRIAL = ("stream", "derive_seed")
+
+
+def _draw_closures(path: Path) -> dict[str, ast.FunctionDef]:
+    """Every function of ``path`` passed to ``run_blocks`` as its ``draw``,
+    by "function.closure" name."""
+    closures = {}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        inner = {node.name: node for node in ast.walk(outer) if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(outer):
+            if isinstance(node, ast.Call) and _names(node.func, "run_blocks"):
+                draw = node.args[2].id
+                closures[f"{outer.name}.{draw}"] = inner[draw]
+    return closures
+
+
+def test_trial_blocks_open_no_stream_per_trial():
+    # a block of trials derives its seeds and reads its copy pools once,
+    # through one re-keyed Philox: no draw closure opens a stream or
+    # derives a seed in a loop over its trials
+    closures = {
+        f"{path.stem}.{name}": fn
+        for path in (SRC / "subsetphase" / "drivers.py", SRC / "subsetphase" / "cli.py")
+        for name, fn in _draw_closures(path).items()
+    }
+    assert sorted(closures) == [
+        "cli.sim.draw", "drivers._bit_span.draw", "drivers._sign_span.draw", "drivers.moment_states.draw",
+    ], sorted(closures)
+    per_trial = [
+        (where, node.func.id, node.lineno)
+        for where, fn in closures.items()
+        for node, depth in _loop_depths(fn)
+        if depth and isinstance(node, ast.Call) and getattr(node.func, "id", None) in PER_TRIAL
+    ]
+    assert per_trial == [], per_trial
+
+
 def test_one_program_type():
     # every generator draws one array form, its kernel rows packed at
     # draw time: only the program functions pack or compact rows
