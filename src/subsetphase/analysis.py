@@ -24,6 +24,10 @@ DEPTH_MCX_REGIME = "depth-opt-mcx"
 SIGN_UNIT_REGIME = "sign-unit-depth"
 SIGN_MCZ_REGIME = "sign-mcz"
 
+# Asymptotic roles ("grows faster than log n") are checked at finite size
+# as at least LOG_FACTOR * ln(n)
+LOG_FACTOR = 2.0
+
 REGIMES = (
     CCX_REGIME,
     MCX_REGIME,
@@ -107,14 +111,12 @@ def premise_check(
     m: int,
     k: int | None = None,
     p: int | None = None,
-    log_factor: float = 2.0,
 ) -> list[str]:
     """Mechanical check of a parameter point against a regime's premises.
 
     Asymptotic roles ("grows faster than log n") are operationalized at
-    finite size as >= log_factor * ln(n); that proxy is the caller's
-    declared intent, tune ``log_factor`` to taste.  Returns a list of
-    violation messages, empty when every premise holds.
+    finite size as >= LOG_FACTOR * ln(n).  Returns a list of violation
+    messages, empty when every premise holds.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
@@ -136,21 +138,21 @@ def premise_check(
             v.append("k is required for bit-thermalizer regimes")
             return v
         need(1 < k <= n, f"k={k} must satisfy 1 < k <= n")
-        need(k >= log_factor * ln_n, f"k={k} below the log-growth proxy {log_factor}*ln(n)={log_factor * ln_n:.1f}")
+        need(k >= LOG_FACTOR * ln_n, f"k={k} below the log-growth proxy {LOG_FACTOR}*ln(n)={LOG_FACTOR * ln_n:.1f}")
         need(m <= k, f"m={m} exceeds k={k}")
 
     if regime == CCX_REGIME or regime == DEPTH_CCX_REGIME:
         need(m == 2, f"CCX regime requires m=2, got m={m}")
         need(t <= k / 2, f"t={t} exceeds k/2={k / 2:.1f}")
         need(rounds <= k / 2, f"rounds=ceil(alpha*t)={rounds} exceeds k/2={k / 2:.1f}")
-        need(alpha * t >= log_factor * ln_n,
-             f"alpha*t={alpha * t:.1f} below the log-growth proxy {log_factor * ln_n:.1f}")
+        need(alpha * t >= LOG_FACTOR * ln_n,
+             f"alpha*t={alpha * t:.1f} below the log-growth proxy {LOG_FACTOR * ln_n:.1f}")
     if regime == MCX_REGIME or regime == DEPTH_MCX_REGIME:
         want_m = max(1, math.ceil(math.log2(t))) if t > 1 else 1
         need(t >= 2, "many-copy regime needs t >= 2")
         need(m == want_m, f"regime requires m=ceil(log2 t)={want_m}, got m={m}")
-        need(alpha >= log_factor * ln_n,
-             f"alpha={alpha:.1f} below the log-growth proxy {log_factor * ln_n:.1f}")
+        need(alpha >= LOG_FACTOR * ln_n,
+             f"alpha={alpha:.1f} below the log-growth proxy {LOG_FACTOR * ln_n:.1f}")
     if regime == CCX_REGIME or regime == MCX_REGIME:
         need(m <= n - k, f"m={m} exceeds n-k={n - k} (second-stage window)")
     if regime in (DEPTH_CCX_REGIME, DEPTH_MCX_REGIME):
@@ -161,12 +163,12 @@ def premise_check(
         need(p == n, f"unit-depth sign regime requires p=n, got p={p}")
         need(t <= n, f"t={t} exceeds n={n}")
         need(rounds <= n, f"rounds=ceil(alpha*t)={rounds} exceeds n={n}")
-        need(alpha * t >= log_factor * ln_n,
-             f"alpha*t={alpha * t:.1f} below the log-growth proxy {log_factor * ln_n:.1f}")
+        need(alpha * t >= LOG_FACTOR * ln_n,
+             f"alpha*t={alpha * t:.1f} below the log-growth proxy {LOG_FACTOR * ln_n:.1f}")
     if regime == SIGN_MCZ_REGIME:
         want_m = max(1, math.ceil(math.log2(n)))
         need(m == want_m, f"regime requires m=ceil(log2 n)={want_m}, got m={m}")
         need(p == n // want_m, f"regime requires p=floor(n/m)={n // want_m}, got p={p}")
-        need(alpha >= log_factor * ln_n,
-             f"alpha={alpha:.1f} below the log-growth proxy {log_factor * ln_n:.1f}")
+        need(alpha >= LOG_FACTOR * ln_n,
+             f"alpha={alpha:.1f} below the log-growth proxy {LOG_FACTOR * ln_n:.1f}")
     return v

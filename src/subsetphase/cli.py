@@ -35,7 +35,7 @@ from .circuit import (
     write_json_atomic,
     write_text_atomic,
 )
-from .copysim import CopyEnsemble, compile_circuit, round_probes, sample_initial_block, words_needed
+from .copysim import compile_circuit, distinct, round_probes, sample_initial_block, unpack_bits, words_needed
 from .f2linalg import (
     BitMatrix,
     RankBoundParams,
@@ -158,31 +158,34 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
         if "rounds" not in circuit.extra:
             raise click.ClickException("--diagnostics rank needs a circuit with recorded rounds")
         probes = round_probes(circuit, stage=1)
-    program = compile_circuit(circuit.layers, words_needed(n), probes or ())
+    W = words_needed(n)
+    program = compile_circuit(circuit.layers, W, probes or ())
 
     def draw(lo: int, hi: int):
         copies = sample_initial_block(n, k, t, TrialStreams(seed, "sim-copies", lo, hi))
-        return (), copies, np.ones((hi - lo, t), dtype=np.int8)
+        return None, copies, np.ones((hi - lo, t), dtype=np.int8)
 
-    bit_totals = 0
+    bit_totals = np.zeros((t, n), dtype=np.int64)
     ranks: list[int] = []
-    distinct: list[bool] = []
+    flags: list[bool] = []
     sign_flip_rate = 0.0
-    for copies, signs, recorded in drivers.run_blocks(0, trials, draw, t * words_needed(n), shared=program):
-        final = CopyEnsemble(n, copies, signs, check=False)
+    for _, copies, signs, recorded in drivers.run_blocks(0, trials, draw, t * W, shared=program):
         if probes is not None:
-            ranks.append(rank(BitMatrix.from_dense(recorded)))
-        bit_totals = bit_totals + final.bits().astype("int64")
-        distinct.append(final.is_distinct())
-        sign_flip_rate += float((signs < 0).mean())
+            ranks += [rank(BitMatrix.from_dense(x)) for x in recorded]
+        bit_totals += unpack_bits(copies, n).sum(axis=0, dtype=np.int64)
+        flags += distinct(copies).tolist()
+        # added one trial at a time, in trial order: the float sum, and so
+        # the report's bytes, depend on the order
+        for rate in (signs < 0).mean(axis=1).tolist():
+            sign_flip_rate += rate
     results = {
         "trials": trials,
         "n": n,
         "k": k,
         "t": t,
         "marginals": (bit_totals / trials).tolist(),
-        "distinct_all": all(distinct),
-        "distinct_per_trial": distinct,
+        "distinct_all": all(flags),
+        "distinct_per_trial": flags,
         "sign_flip_rate": sign_flip_rate / trials,
     }
     if probes is not None:
@@ -206,13 +209,12 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
 @click.option("--p", type=float, required=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes; any value reproduces the same result.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def rank_mc(rows, cols, p, trials, seed, threads, fmt, out):
-    """Monte Carlo full-rank frequency of Bernoulli(p) matrices."""
-    est = drivers.monte_carlo_full_rank_streamed(rows, cols, p, trials, seed, workers=threads)
+def rank_mc(rows, cols, p, trials, seed, fmt, out):
+    """Monte Carlo full-rank frequency of Bernoulli(p) matrices, on every
+    core of the affinity mask; any core count writes the same bytes."""
+    est = drivers.monte_carlo_full_rank_streamed(rows, cols, p, trials, seed)
     config = {
         "command": "rank-mc",
         "rows": rows,
@@ -388,10 +390,22 @@ def verify(suite, algorithm, n, k, t, alpha, m, p, trials, seed, regime, strict,
 
 def _grid_count(name: str, text: str) -> int:
     """A grid value of ``name`` that must be a positive int."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise click.BadParameter(f"grid value {name}={text} is not an integer") from None
     if value < 1:
         raise click.BadParameter(f"grid value {name}={value} must be at least 1")
     return value
+
+
+def _grid_alpha(text: str) -> float:
+    """A grid value of alpha, which must be a number; ``GenParams`` and
+    the sign stage table refuse one that is not positive and finite."""
+    try:
+        return float(text)
+    except ValueError:
+        raise click.BadParameter(f"grid value alpha={text} is not a number") from None
 
 
 def _parse_grid(spec: str) -> dict[str, list[str]]:
@@ -442,15 +456,15 @@ def scaling(grid_spec, algorithm, seed, out):
             for m_s in grid.get("m", ["auto"]):
                 m = max(2, math.ceil(math.log2(t))) if m_s == "auto" else _grid_count("m", m_s)
                 for alpha_s in grid.get("alpha", ["auto"]):
-                    alpha = float(math.ceil(2 * math.log(n))) if alpha_s == "auto" else float(alpha_s)
+                    alpha = float(math.ceil(2 * math.log(n))) if alpha_s == "auto" else _grid_alpha(alpha_s)
                     for k_s in grid.get("k", ["64"]):
-                        k = int(k_s)
+                        k = _grid_count("k", k_s)
                         point_seed = derive_seed(seed, "scaling", algorithm, n, t, m, k)
                         # cost profiles replay the generator's exact random
                         # stream without materializing gate objects
                         if algorithm == "sign":
                             p_s = grid.get("p", ["auto"])[0]
-                            p = n // m if p_s == "auto" else int(p_s)
+                            p = n // m if p_s == "auto" else _grid_count("p", p_s)
                             meas = sign_cost_profile(n, p, alpha, t, m, seed=point_seed)
                             pred = analysis.predicted_cost("sign", n, k, t, alpha, m, p=p)
                         else:

@@ -17,6 +17,9 @@ is exact too, which lets the kernel evaluate bounded chunks of rows and
 lets a batch of trials, each with its own rows, split on their union.
 The rule is the same at every word count.  The tests check the kernel
 against a per-gate reference, ``apply_gate`` in ``tests/conftest.py``.
+
+Whether copies are pairwise distinct is decided in one place,
+``distinct``, for a trial's copies, a block of trials or a subset table.
 """
 
 from __future__ import annotations
@@ -57,9 +60,23 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``pack_bits``: (rows, W) uint64 to (rows, n) uint8."""
+    """Inverse of ``pack_bits``: (..., W) uint64 to (..., n) uint8."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
+    return np.unpackbits(raw, axis=-1, bitorder="little")[..., :n]
+
+
+def distinct(copies: np.ndarray) -> np.ndarray:
+    """Whether the copies of each (t, W) set of (..., t, W) copies are
+    pairwise distinct, as a (...) bool array.
+
+    One sort along the copy axis puts equal copies side by side; past one
+    word, a copy sorts and compares as one raw-bytes value.
+    """
+    copies = np.ascontiguousarray(copies, dtype=np.uint64)
+    W = copies.shape[-1]
+    keys = copies[..., 0] if W == 1 else copies.view(np.dtype((np.void, 8 * W)))[..., 0]
+    ordered = np.sort(keys, axis=-1)
+    return ~(ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
 
 
 def _full_condition(g: Gate) -> list[ControlTerm]:
@@ -92,7 +109,7 @@ class CopyEnsemble:
                 raise ValueError("signs must be +1 or -1")
             if np.any(copies & ~_word_masks(n)):
                 raise ValueError("copies have bits outside [1, n]")
-            if len({row.tobytes() for row in copies}) != copies.shape[0]:
+            if not distinct(copies):
                 raise ValueError("copies must be pairwise distinct")
         self.n = n
         self.copies = copies
@@ -120,7 +137,7 @@ class CopyEnsemble:
         ]
 
     def is_distinct(self) -> bool:
-        return len({row.tobytes() for row in self.copies}) == self.t
+        return bool(distinct(self.copies))
 
     def bits(self) -> np.ndarray:
         """Unpacked view: (t, n) uint8 with column j holding site j+1."""
@@ -205,10 +222,10 @@ def sample_initial_block(n: int, k: int, t: int, streams: TrialStreams | _OneStr
     ``Generator``, which stays exact even at t = 2^k.  In a large sparse
     domain each trial draws a pool of max(2t, 64) strings and keeps its
     first t distinct ones, in draw order; the pools are one block read
-    (``streams.words``).  One sort over the block checks that each
-    trial's first t draws are distinct; only a trial where they collide
-    dedupes its pool, topping it up from its own ``Generator``, which
-    reads on from where the pool ended (``_first_distinct``).
+    (``streams.words``).  One sort over the block (``distinct``) checks
+    that each trial's first t draws are distinct; only a trial where they
+    collide dedupes its pool, topping it up from its own ``Generator``,
+    which reads on from where the pool ended (``_first_distinct``).
     """
     check_initial_shape(n, k, t)
     W = words_needed(n)
@@ -220,10 +237,8 @@ def sample_initial_block(n: int, k: int, t: int, streams: TrialStreams | _OneStr
         return copies
     pools = _strings(streams.words(_pool_size(t) * words_needed(k)), k, n)
     copies = pools[:, :t].copy()
-    # only the low words_needed(k) words vary; one of them compares as is
-    firsts = copies[..., 0] if k <= 64 else copies.view(np.dtype((np.void, 8 * W)))[..., 0]
-    ordered = np.sort(firsts, axis=1)
-    for b in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+    # only the low words_needed(k) words vary
+    for b in np.flatnonzero(~distinct(copies[..., : words_needed(k)])):
         copies[b] = _first_distinct(pools[b], streams[b], n, k, t)
     return copies
 

@@ -5,16 +5,18 @@ trial index), so trials are order-independent and each artifact can name
 the exact stream that produced it, however trials are grouped.  Every
 trial loop that simulates, ``sim``'s too, runs through ``run_blocks``,
 which asks for a block of trials at a time: the drivers draw a block's
-programs and initial copies together, one pass over its seeds, and
-pack its rows in one pass.  A block derives its circuit seeds with one
-``rng.block_seeds`` call and reads its copy pools through one
-``rng.TrialStreams``, one re-keyed ``Philox`` for the block.
+programs and initial copies together, one pass over its seeds.  A block
+derives its circuit seeds with one ``rng.block_seeds`` call and reads
+its copy pools through one ``rng.TrialStreams``, one re-keyed ``Philox``
+for the block.  The block is the unit a loop folds, too: ``run_blocks``
+yields its (B, t, W) copies, (B, t) signs and (B, t, R) recorded rows,
+and the loops write or read them as block slices.
 
-The sign trials, the bit battery and ``rank-mc`` split their trials into
-contiguous spans, one per core this process may use, and ``_map_spans``
-runs the spans in a pool of forked workers.  A span returns arrays; the parent
-joins them in span order, so the results are the same bytes at any
-worker count.
+The sign trials, the bit battery and the full-rank Monte Carlo of
+``rank-mc`` and ``bounds`` split their trials into contiguous spans, one
+per core this process may use, and ``_map_spans`` runs the spans in a
+pool of forked workers.  A span returns arrays; the parent joins them in
+span order, so the results are the same bytes at any core count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .copysim import (
     CopyEnsemble,
     StepProgram,
     check_initial_shape,
+    distinct,
     run_steps,
     sample_initial_block,
     step_program,
@@ -102,22 +105,21 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_spans(fn: Callable[[tuple], object], args: tuple, trials: int, least: int, workers: int | None) -> list:
+def _map_spans(fn: Callable[[tuple], object], args: tuple, trials: int, least: int) -> list:
     """``fn(args + (lo, hi))`` over contiguous spans lo .. hi-1 that cover
     trials 0 .. trials-1, in span order.
 
-    There is one span per worker, and fewer where a span would hold
-    under ``least`` trials; ``workers`` None means the cores this process
-    may use, and any count is capped at them.  One span runs in this
-    process.  More run in a pool of forked workers, one per span, closed
-    and joined on every path.  Where the platform cannot fork, all the
-    trials run in this process: a worker started any other way imports
-    numpy afresh, which costs more than a span saves.
+    There is one span per core this process may use (``_core_count``),
+    and fewer where a span would hold under ``least`` trials.  One span
+    runs in this process.  More run in a pool of forked workers, one per
+    span, closed and joined on every path.  Where the platform cannot
+    fork, all the trials run in this process: a worker started any other
+    way imports numpy afresh, which costs more than a span saves.
     """
     from multiprocessing import get_all_start_methods, get_context
 
     cores = _core_count() if "fork" in get_all_start_methods() else 1
-    count = max(1, min(cores if workers is None else workers, cores, trials // least))
+    count = max(1, min(cores, trials // least))
     bounds = [trials * j // count for j in range(count + 1)]
     spans = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if count == 1:
@@ -141,60 +143,45 @@ def _trial_words(n: int, t: int, *tables: list[Stage]) -> int:
     return (3 * rows + t) * words_needed(n)
 
 
-def pack_block(segments: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """Join a block's row segments into one row set.
-
-    Each segment is a tuple of (B, R_j, ...) arrays, such as (masks,
-    patterns, flips, diagonal), zero-padded so that it starts at the
-    same row in every trial; a step boundary between segments then stays
-    one.  Returns one (B, R, ...) array per tuple slot.
-    """
-    if len(segments) == 1:
-        return tuple(segments[0])
-    return tuple(np.concatenate(parts, axis=1) for parts in zip(*segments))
-
-
 def run_blocks(
     lo: int,
     hi: int,
-    draw: Callable[[int, int], tuple[Sequence[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]],
+    draw: Callable[[int, int], tuple[tuple[np.ndarray, ...] | None, np.ndarray, np.ndarray]],
     words: int,
     record: Sequence[int] = (),
     shared: StepProgram | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Run trials lo .. hi-1 through the step kernel, a block at a time.
 
-    ``draw(lo, hi)``, called in trial order, gives the block of trials
-    lo .. hi-1: its row segments, each (masks, patterns, flips, diagonal)
-    with a leading trial axis and zero-padded to the block's longest,
-    and its (B, t, W) initial copies and (B, t) signs.  Or ``shared``
-    holds one step program that every trial runs, grouped into steps
-    once; ``draw`` then gives no segments, and the rows count once.
+    ``draw(a, b)``, called in trial order, gives the block of trials
+    a .. b-1: its rows (masks, patterns, flips, diagonal), each with a
+    leading trial axis and zero-padded to the block's longest trial, and
+    its (B, t, W) initial copies and (B, t) signs.  Or ``shared`` holds
+    one step program that every trial runs, grouped into steps once;
+    ``draw`` then gives None for the rows, and the rows count once.
 
-    A block, joined by ``pack_block``, runs in one ``copysim.run_steps``
-    call.  ``words`` is the most one trial can add to a block (see
-    ``_trial_words``); a block holds ``_block_trials`` trials, counting
-    the shared rows.  Yields each trial's final copies, signs and
-    (t, len(record)) satisfaction of the ``record`` rows, in trial order.
+    A block runs in one ``copysim.run_steps`` call.  ``words`` is the
+    most one trial can add to a block (see ``_trial_words``); a block
+    holds ``_block_trials`` trials, counting the shared rows.  Yields,
+    block by block in trial order, the block's first trial a, its final
+    copies and signs, and the (B, t, len(record)) satisfaction of the
+    ``record`` rows.
     """
     size = _block_trials(words, 0 if shared is None else 3 * shared.masks.size)
     for start in range(lo, hi, size):
-        segments, copies, signs = draw(start, min(hi, start + size))
-        program = step_program(*pack_block(segments), record=record) if shared is None else shared
-        recorded = run_steps(program, copies, signs)
-        yield from zip(copies, signs, recorded)
+        rows, copies, signs = draw(start, min(hi, start + size))
+        program = step_program(*rows, record=record) if shared is None else shared
+        yield start, copies, signs, run_steps(program, copies, signs)
 
 
-def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bit-battery trials lo .. hi-1: their (B, t, W) final copies,
-    condition-matrix ranks (none unless ``record``), distinct flags and
-    CCX counts."""
+    condition-matrix ranks (none unless ``record``) and CCX counts."""
     algorithm, base, record, words, master_seed, lo, hi = span
     program = gate_opt_program if algorithm == "gate-opt" else depth_opt_program
     n, k, t = base.n, base.k, base.t
     finals = np.zeros((hi - lo, t, words_needed(n)), dtype=np.uint64)
     ranks = np.zeros(hi - lo if record else 0, dtype=np.int64)
-    distinct = np.zeros(hi - lo, dtype=bool)
     ccx = np.zeros(hi - lo, dtype=np.int64)
     per_gate_ccx = ccx_ladder_count(base.m)
 
@@ -204,12 +191,12 @@ def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
         copies = sample_initial_block(n, k, t, TrialStreams(master_seed, "bit-copies", a, b))
         return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
 
-    for j, (copies, signs, recorded) in enumerate(run_blocks(lo, hi, draw, words, record)):
-        finals[j] = copies
+    for a, copies, _, recorded in run_blocks(lo, hi, draw, words, record):
+        block = slice(a - lo, a - lo + len(copies))
+        finals[block] = copies
         if record:
-            ranks[j] = rank(BitMatrix.from_dense(recorded))
-        distinct[j] = CopyEnsemble(n, copies, signs, check=False).is_distinct()
-    return finals, ranks, distinct, ccx
+            ranks[block] = [rank(BitMatrix.from_dense(x)) for x in recorded]
+    return finals, ranks, ccx
 
 
 def run_bit_battery(
@@ -233,7 +220,9 @@ def run_bit_battery(
     through ``run_blocks``; no gate objects are built.  Every gate
     carries m controls, so a trial's CCX total is its gate count times
     the ladder cost.  Spans of trials run on every core this process may
-    use (``_map_spans``); every parameter is checked here first.
+    use (``_map_spans``); every parameter is checked here first.  The
+    joined (trials, t, W) final copies are checked for distinct copies
+    in one ``copysim.distinct`` call.
     """
     if algorithm not in ("gate-opt", "depth-opt"):
         raise ValueError(f"unknown bit thermalizer {algorithm!r}")
@@ -245,15 +234,15 @@ def run_bit_battery(
     record = range(base.rounds) if algorithm == "gate-opt" and diagnostics else ()
     words = _trial_words(n, t, table)
     spans = _map_spans(
-        _bit_span, (algorithm, base, record, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words), None
+        _bit_span, (algorithm, base, record, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words)
     )
-    finals, ranks, distinct, ccx = (np.concatenate(parts) for parts in zip(*spans))
+    finals, ranks, ccx = (np.concatenate(parts) for parts in zip(*spans))
     signs = np.ones((trials, t), dtype=np.int8)
     return BitBatteryResult(
         ensembles=[CopyEnsemble(n, c, s, check=False) for c, s in zip(finals, signs)],
         x_full_rank=(ranks == t).tolist(),
         x_ranks=ranks.tolist(),
-        distinct=distinct.tolist(),
+        distinct=distinct(finals).tolist(),
         ccx_counts=ccx.tolist(),
     )
 
@@ -277,8 +266,8 @@ def _sign_span(span: tuple) -> tuple[np.ndarray, np.ndarray]:
         copies = sample_initial_block(n, n, t, TrialStreams(master_seed, "sign-copies", a, b))
         return prog.rows(), copies, np.ones((b - a, t), dtype=np.int8)
 
-    for j, (_, final, _) in enumerate(run_blocks(lo, hi, draw, words)):
-        signs[j] = final
+    for a, _, final, _ in run_blocks(lo, hi, draw, words):
+        signs[a - lo : a - lo + len(final)] = final
     return signs, gates
 
 
@@ -297,7 +286,7 @@ def run_sign_trials(
     check_initial_shape(n, n, t)
     words = _trial_words(n, t, [stage])
     spans = _map_spans(
-        _sign_span, (n, p, alpha, t, m, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words), None
+        _sign_span, (n, p, alpha, t, m, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words)
     )
     signs, gates = (np.concatenate(parts) for parts in zip(*spans))
     return SignTrialResult(list(signs), stage.rounds, gates.tolist())
@@ -326,7 +315,9 @@ def moment_states(
     thermalizer of stream ("moment-bit", i), then the sign thermalizer of
     stream ("moment-sign", i).  A table is a batch of 2^k single copies,
     so ``run_blocks`` runs each sample's gate-opt rows followed by its
-    diagonal sign rows on a (2^k, W) table.
+    diagonal sign rows on a (2^k, W) table.  The two row sets of a block
+    are joined here, slot by slot, so the sign rows start at the same
+    row in every trial and the step boundary between them stays one.
     """
     initial = subsetstate.initial_subset_state(n, k)
     bit_params = GenParams(n=n, k=k, t=t, alpha=alpha_bit, m=m_bit)
@@ -339,10 +330,12 @@ def moment_states(
         sign_seeds = block_seeds(master_seed, "moment-sign", lo, hi)
         sign_prog = sign_program(n, p_sign, alpha_sign, t, m_sign, seeds=sign_seeds)
         copies, signs = np.tile(initial.images, (hi - lo, 1, 1)), np.tile(initial.signs, (hi - lo, 1))
-        return bit_prog.rows() + sign_prog.rows(), copies, signs
+        rows = tuple(np.concatenate(pair, axis=1) for pair in zip(bit_prog.rows(), sign_prog.rows()))
+        return rows, copies, signs
 
-    for images, signs, _ in run_blocks(0, samples, draw, words):
-        yield subsetstate.SubsetState(n, k, images, signs)
+    for _, images, signs, _ in run_blocks(0, samples, draw, words):
+        for table, table_signs in zip(images, signs):
+            yield subsetstate.SubsetState(n, k, table, table_signs)
 
 
 @dataclass
@@ -434,14 +427,13 @@ def _mc_rank_span(span: tuple[int, int, float, int, int, int]) -> int:
     return hits
 
 
-def monte_carlo_full_rank_streamed(
-    rows: int, cols: int, p: float, trials: int, master_seed: int, workers: int = 1
-) -> MonteCarloEstimate:
+def monte_carlo_full_rank_streamed(rows: int, cols: int, p: float, trials: int, master_seed: int) -> MonteCarloEstimate:
     """Full-rank frequency with one named stream per trial index.
 
-    The per-trial streams make the result independent of how the trials
-    split into spans, so any worker count reproduces the single-process
-    answer bit for bit (``_map_spans``).
+    Spans of trials run on every core this process may use
+    (``_map_spans``).  The per-trial streams make the result independent
+    of how the trials split into spans, so any core count reproduces the
+    single-process answer bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -449,5 +441,5 @@ def monte_carlo_full_rank_streamed(
         raise ValueError("rows and cols must not be negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    hits = sum(_map_spans(_mc_rank_span, (rows, cols, p, master_seed), trials, _RANK_SPAN_TRIALS, workers))
+    hits = sum(_map_spans(_mc_rank_span, (rows, cols, p, master_seed), trials, _RANK_SPAN_TRIALS))
     return MonteCarloEstimate(hits / trials, wilson_interval(hits, trials), hits, trials)

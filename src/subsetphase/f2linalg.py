@@ -210,18 +210,6 @@ def full_rank_probability_sequential(params: RankBoundParams) -> SequentialBound
     return SequentialBound(min(max(prod, 0.0), 1.0), True)
 
 
-def chernoff_row_weight_bound(m: float, p: float, epsilon: float) -> float:
-    """Tail bound exp(-epsilon^2*m*p/(2+epsilon)) on a row of length m
-    exceeding weight (1+epsilon)*m*p."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return math.exp(-(epsilon**2) * m * p / (2.0 + epsilon))
-
-
 class WilsonInterval(NamedTuple):
     lo: float
     hi: float

@@ -263,9 +263,9 @@ class Program:
     targets: np.ndarray
     fired: np.ndarray
 
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The rows as one (masks, patterns, flips, diagonal) segment."""
-        return [(self.masks, self.patterns, self.flips, self.diagonal)]
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel rows: (masks, patterns, flips, diagonal)."""
+        return self.masks, self.patterns, self.flips, self.diagonal
 
 
 def _padded(shape: tuple[int, int], trial: np.ndarray, row: np.ndarray, *slots: np.ndarray) -> list[np.ndarray]:

@@ -6,26 +6,30 @@ the configured threshold.  Defaults follow one policy: family-wise
 significance 1e-3, Bonferroni-corrected across cells where a test scans
 many cells.  Thresholds are recorded in the report so sweeps can be
 re-decided offline.  All tests are pure folds over their inputs, so
-outcomes are deterministic for seeded trial data.
+outcomes are deterministic for seeded trial data.  The two bit folds,
+``marginal_bias_test`` and ``pairwise_xor_test``, read a batch of copy
+ensembles the same way: its shape checked once, its copies stacked once
+and unpacked a chunk of trials at a time (``_bit_chunks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri, pdtr, pdtrc
 
-from .copysim import CopyEnsemble
+from .copysim import CopyEnsemble, unpack_bits
 from .rng import stream
 
 DEFAULT_ALPHA = 1e-3
 # Largest t-subset domain binom(2^n, t) the uniformity test enumerates
 SUBSET_DOMAIN_MAX = 100_000
-# Trials folded per matrix product in ``pairwise_xor_test``
-_XOR_CHUNK = 256
+# Trials unpacked at a time by the bit folds; ``pairwise_xor_test`` folds
+# each chunk in one float32 product, exact while a chunk holds under 2^24
+_BIT_CHUNK = 256
 _MIN_EXPECTED_FOR_CHI2 = 5.0
 
 
@@ -65,37 +69,17 @@ class TestReport:
         }
 
 
-def tv_distance(hist: np.ndarray | dict, reference: np.ndarray | dict) -> float:
-    """Total variation between an empirical histogram and a reference
-    distribution over the same finite domain."""
-    if isinstance(hist, dict) or isinstance(reference, dict):
-        if not (isinstance(hist, dict) and isinstance(reference, dict)):
-            raise ValueError("histogram and reference must use the same domain encoding")
-        if set(hist) != set(reference):
-            raise ValueError("histogram and reference domains differ")
-        keys = list(hist)
-        counts = np.array([hist[k] for k in keys], dtype=float)
-        ref = np.array([reference[k] for k in keys], dtype=float)
-    else:
-        counts = np.asarray(hist, dtype=float)
-        ref = np.asarray(reference, dtype=float)
-        if counts.shape != ref.shape:
-            raise ValueError("histogram and reference domains differ")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("histogram is empty")
-    return float(0.5 * np.abs(counts / total - ref).sum())
-
-
-def _bit_counts(ensembles: Sequence[CopyEnsemble]) -> tuple[np.ndarray, int, int]:
-    first = ensembles[0]
-    t, n = first.t, first.n
-    counts = np.zeros((t, n), dtype=np.int64)
-    for e in ensembles:
-        if e.t != t or e.n != n:
-            raise ValueError("all ensembles must share (t, n)")
-        counts += e.bits()
-    return counts, t, n
+def _bit_chunks(ensembles: Sequence[CopyEnsemble]) -> Iterator[np.ndarray]:
+    """The (N, t, n) uint8 bits of ``ensembles``, ``_BIT_CHUNK`` trials at
+    a time, once every ensemble is checked to share the first one's
+    (t, n).  The copies are stacked once and unpacked a chunk at a time,
+    so the unpacked bits held stay bounded."""
+    t, n = ensembles[0].t, ensembles[0].n
+    if any(e.t != t or e.n != n for e in ensembles):
+        raise ValueError("all ensembles must share (t, n)")
+    copies = np.stack([e.copies for e in ensembles])
+    for lo in range(0, len(copies), _BIT_CHUNK):
+        yield unpack_bits(copies[lo : lo + _BIT_CHUNK], n)
 
 
 def check_marginal_trials(n_trials: int) -> None:
@@ -117,8 +101,8 @@ def marginal_bias_test(
     """
     n_trials = len(ensembles)
     check_marginal_trials(n_trials)
-    counts, t, n = _bit_counts(ensembles)
-    cells = t * n
+    counts = sum(bits.sum(axis=0, dtype=np.int64) for bits in _bit_chunks(ensembles))
+    cells = counts.size
     sigma = 0.5 / sqrt(n_trials)
     z = (counts / n_trials - 0.5) / sigma
     z_crit = max(4.0, float(ndtri(1.0 - alpha / (2.0 * cells))))
@@ -172,12 +156,8 @@ def pairwise_xor_test(
     # per-site co-occurrence counts c_pq (c_pp = c_p), summed over trial
     # chunks; float32 products of 0/1 bits stay integer-exact per chunk
     co = np.zeros((n, t, t), dtype=np.int64)
-    for lo in range(0, n_trials, _XOR_CHUNK):
-        chunk = ensembles[lo : lo + _XOR_CHUNK]
-        for e in chunk:
-            if e.t != t or e.n != n:
-                raise ValueError("all ensembles must share (t, n)")
-        x = np.stack([e.bits() for e in chunk], axis=2).transpose(1, 0, 2).astype(np.float32)
+    for bits in _bit_chunks(ensembles):
+        x = bits.transpose(2, 1, 0).astype(np.float32)
         co += np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)
     # XOR count of pair (p, q) at a site: c_p + c_q - 2 c_pq
     p, q = np.triu_indices(t, 1)

@@ -62,7 +62,7 @@ class SubsetState:
         ]
 
     def is_injective(self) -> bool:
-        return len({row.tobytes() for row in self.images}) == self.size
+        return bool(copysim.distinct(self.images))
 
     def clone(self) -> "SubsetState":
         return SubsetState(self.n, self.k, self.images.copy(), self.signs.copy())

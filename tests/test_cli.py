@@ -281,23 +281,21 @@ class TestRankMc:
         assert lines[0] == "rows,cols,p,trials,estimate,ci_lo,ci_hi,seed"
         assert len(lines) == 2
 
-    def test_threads_reproduce_single_process(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        base = ["rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3",
-                "--trials", "600", "--seed", "4"]
-        run_cli(*base, "--threads", "1", "--out", str(a))
-        run_cli(*base, "--threads", "3", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_nonpositive_threads_exit_1(self, tmp_path, threads):
-        out = tmp_path / "mc.json"
-        res = run_cli("rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
-                      "--threads", threads, "--out", str(out))
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert "--threads" in res.stderr
-        assert not out.exists()
+    def test_threads_reproduce_single_process(self, monkeypatch, tmp_path, pools):
+        # rank-mc runs on every core of the affinity mask; in this process,
+        # so that the patched core count reaches it
+        reports = []
+        for cores in (1, 3):
+            monkeypatch.setattr(drivers, "_core_count", lambda: cores)
+            out = tmp_path / f"mc{cores}.json"
+            res = CliRunner().invoke(cli.cli, [
+                "rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600", "--seed", "4",
+                "--out", str(out),
+            ])
+            assert res.exit_code == 0, (res.output, res.exception)
+            reports.append(out.read_bytes())
+        assert pools == [3]
+        assert reports[0] == reports[1]
 
 
 def _killed_span(span):
@@ -376,7 +374,7 @@ class TestWorkers:
         out = tmp_path / "mc.json"
         code, err = run_main(
             monkeypatch, capsys, "rank-mc", "--rows", "3", "--cols", "8", "--p", "0.3", "--trials", "600",
-            "--threads", "2", "--out", str(out),
+            "--out", str(out),
         )
         assert (code, forking) == (1, [2])
         assert "error: a worker process died" in err
@@ -387,7 +385,7 @@ class TestWorkers:
     def test_rank_mc_checks_p_before_the_pool(self, monkeypatch, capsys, tmp_path, forking):
         code, err = run_main(
             monkeypatch, capsys, "rank-mc", "--rows", "3", "--cols", "8", "--p", "1.5", "--trials", "600",
-            "--threads", "2", "--out", str(tmp_path / "mc.json"),
+            "--out", str(tmp_path / "mc.json"),
         )
         assert (code, forking) == (1, [])
         assert "error: p must lie in [0, 1]" in err
@@ -585,6 +583,26 @@ class TestScaling:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         assert "Error:" in res.stderr and f"grid value {named} must be at least 1" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algorithm,grid,key",
+        [
+            ("depth-opt", "n=abc;t=4", "n"),
+            ("depth-opt", "n=64;t=abc", "t"),
+            ("depth-opt", "n=64;t=4;k=abc", "k"),
+            ("depth-opt", "n=64;t=4;m=abc", "m"),
+            ("sign", "n=64;t=4;p=abc", "p"),
+            ("depth-opt", "n=64;t=4;alpha=abc", "alpha"),
+        ],
+        ids=["n", "t", "k", "m", "p", "alpha"],
+    )
+    def test_grid_names_the_key_of_a_non_number(self, tmp_path, algorithm, grid, key):
+        out = tmp_path / "x.csv"
+        res = run_cli("scaling", "--grid", grid, "--algorithm", algorithm, "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"grid value {key}=abc is not" in res.stderr, res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])

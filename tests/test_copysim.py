@@ -137,6 +137,83 @@ class TestSampleInitialBlock:
         assert max(top_ups) >= 2
 
 
+    def test_wide_collisions_dedupe_on_both_words(self, monkeypatch):
+        # k = 70 strings take two words.  Trial b's first t draws repeat
+        # pair b's first draw at its second; in a second set of trials the
+        # repeat differs in the high word alone, so those stay as drawn
+        n, k, t = 130, 70, 4
+        pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        trials = 2 * len(pairs)
+
+        class Planted:
+            """``TrialStreams`` whose pool words repeat a draw per trial."""
+
+            def __init__(self):
+                self.streams = TrialStreams(24, "wide", 0, trials)
+
+            def __len__(self):
+                return trials
+
+            def __getitem__(self, b):
+                return self.streams[b]
+
+            def words(self, count):
+                words = self.streams.words(count)
+                for b, (i, j) in enumerate(pairs * 2):
+                    words[b, 2 * j : 2 * j + 2] = words[b, 2 * i : 2 * i + 2]
+                    words[b, 2 * j + 1] ^= np.uint64(b >= len(pairs))
+                self.drawn = words
+                return words
+
+        fallbacks = []
+        first_distinct = copysim._first_distinct
+
+        def counted(pool, *args):
+            fallbacks.append(len(pool))
+            return first_distinct(pool, *args)
+
+        monkeypatch.setattr(copysim, "_first_distinct", counted)
+        streams = Planted()
+        block = copysim.sample_initial_block(n, k, t, streams)
+        assert len(fallbacks) == len(pairs)
+        strings = streams.drawn.reshape(trials, -1, 2) & np.array([2**64 - 1, 63], dtype=np.uint64)
+        for b in range(trials):
+            kept = []
+            for value in map(tuple, strings[b].tolist()):
+                if value not in kept:
+                    kept.append(value)
+            assert block[b, :, :2].tolist() == [list(v) for v in kept[:t]]
+            assert not block[b, :, 2].any()
+
+
+def set_rule(copies: np.ndarray) -> list[bool]:
+    """Whether each trial's (t, W) copies are distinct, by a set of row bytes."""
+    return [len({row.tobytes() for row in trial}) == len(trial) for trial in copies]
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_equals_the_set_rule(self, W):
+        # trial b repeats copy i at copy j for pair b; in a second set of
+        # trials the repeat differs in its last word alone
+        t = 6
+        pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        copies = stream(22, "distinct", W).integers(0, 2**64, size=(2 * len(pairs), t, W), dtype=np.uint64)
+        for b, (i, j) in enumerate(pairs * 2):
+            copies[b, j] = copies[b, i]
+            copies[b, j, -1] ^= np.uint64(b >= len(pairs))
+        got = copysim.distinct(copies)
+        assert got.tolist() == set_rule(copies) == [False] * len(pairs) + [True] * len(pairs)
+        # leading axes stay as they are, and one set of copies gives a 0-d flag
+        assert copysim.distinct(copies.reshape(2, -1, t, W)).tolist() == got.reshape(2, -1).tolist()
+        assert [bool(copysim.distinct(trial)) for trial in copies] == got.tolist()
+
+    @pytest.mark.parametrize("W", [1, 2])
+    def test_one_copy_and_no_trials(self, W):
+        assert copysim.distinct(np.zeros((3, 1, W), dtype=np.uint64)).tolist() == [True] * 3
+        assert copysim.distinct(np.zeros((0, 5, W), dtype=np.uint64)).shape == (0,)
+
+
 class TestApplyGate:
     def test_ccx_flips_only_matching_copies(self):
         # controls at sites 2 and 3 requiring 1, target site 5: only the

@@ -144,23 +144,14 @@ def words(*values):
 
 
 class TestPackBlock:
-    def test_joins_segments_at_the_same_row_in_every_trial(self):
-        got = drivers.pack_block([
-            (np.stack([words(1, 0), words(4, 5)]), np.array([[True, False], [True, True]])),
-            (np.stack([words(2, 3), words(6, 0)]), np.array([[False, True], [True, False]])),
-        ])
-        assert [a.shape for a in got] == [(2, 4, 1), (2, 4)]
-        assert got[0][:, :, 0].tolist() == [[1, 0, 2, 3], [4, 5, 6, 0]]
-        assert got[1].tolist() == [[True, False, False, True], [True, True, True, False]]
-
     def test_padding_rows_change_nothing(self):
         # one trial's single flip row padded with zero rows against another
         # trial's three; every real row reads site 1 and wants it set
-        masks, patterns, flips = drivers.pack_block([(
+        masks, patterns, flips = (
             np.stack([words(1, 0, 0), words(1, 1, 1)]),
             np.stack([words(1, 0, 0), words(1, 1, 1)]),
             np.stack([words(2, 0, 0), words(2, 4, 8)]),
-        )])
+        )
         copies = np.array([[[1], [0]], [[1], [0]]], dtype=np.uint64)
         run_steps(step_program(masks, patterns, flips), copies)
         assert copies[:, :, 0].tolist() == [[3, 0], [15, 0]]
@@ -415,9 +406,9 @@ class TestWorkerCountInvariance:
         assert_same_battery(runs[1], runs[0])
         assert len(runs[0].x_ranks) == 1000
 
-    def test_rank_mc(self, short_spans, pools):
+    def test_rank_mc(self, monkeypatch, short_spans, pools):
         # 64-trial spans at least: 601 trials split 200 + 200 + 201
-        runs = [drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4, workers=w) for w in (1, 2, 3)]
+        runs = on_each_core_count(monkeypatch, lambda: drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4))
         assert pools == [2, 3]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -435,19 +426,20 @@ def test_no_pool_where_the_platform_cannot_fork(monkeypatch, short_spans, pools)
     for methods in (["fork", "spawn"], ["spawn"]):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         signs = drivers.run_sign_trials(70, 8, 8.0, 4, 3, 41, 61)
-        ranks = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4, workers=3)
+        ranks = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 601, 4)
         runs.append((signs.sign_vectors, ranks))
     assert pools == [3, 3]
     assert np.array_equal(runs[1][0], runs[0][0]) and runs[1][1] == runs[0][1]
 
 
 @pytest.mark.parametrize(
-    "workers,cores,pool",
-    [(10**6, 8, 8), (10**6, 64, 10), (3, 64, 3), (5, None, 1)],
+    "mask,cores,pool",
+    [(None, 8, 8), (None, 64, 10), (3, 64, 3), (None, None, 1)],
 )
-def test_rank_mc_pool_is_capped(monkeypatch, workers, cores, pool):
+def test_rank_mc_pool_is_capped(monkeypatch, mask, cores, pool):
     # 640 trials make spans of at least 64, so at most ten of them; the
-    # pool is min(workers, spans, cores)
+    # pool is min(spans, cores), the cores being the affinity mask's (as
+    # ``taskset`` sets it) or, without a mask, the machine's
     sizes, spans = [], []
 
     class RecordingPool:
@@ -467,12 +459,17 @@ def test_rank_mc_pool_is_capped(monkeypatch, workers, cores, pool):
             spans.extend(span[-2:] for span in args)
             return map(fn, args)
 
-    want = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4)
+    with monkeypatch.context() as one_core:
+        one_core.setattr(drivers, "_core_count", lambda: 1)
+        want = drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4)
     monkeypatch.setattr(drivers, "ProcessPoolExecutor", RecordingPool)
-    # a platform without an affinity mask reads its core count, if any
-    monkeypatch.delattr(drivers.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(drivers.os, "cpu_count", lambda: cores)
-    assert drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4, workers=workers) == want
+    if mask is None:
+        # a platform without an affinity mask reads its core count, if any
+        monkeypatch.delattr(drivers.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(drivers.os, "sched_getaffinity", lambda pid: set(range(mask)), raising=False)
+    assert drivers.monte_carlo_full_rank_streamed(3, 8, 0.3, 640, 4) == want
     # a pool of one runs in this process instead
     assert sizes == ([pool] if pool > 1 else [])
     if pool > 1:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from subsetphase.f2linalg import (
     BitMatrix,
     RankBoundParams,
-    chernoff_row_weight_bound,
     full_rank_probability_bound,
     full_rank_probability_sequential,
     is_full_row_rank,
@@ -25,7 +24,6 @@ from conftest import span_rank
 # frozen from a 60-digit evaluation of the bound expressions
 CLOSED_16_64 = 0.99999700989437226389
 CLOSED_24_96 = 0.99999999697241578554
-CHERNOFF_400 = 4.5399929762484851536e-05
 
 
 def bm(rows_bits: list[str]) -> BitMatrix:
@@ -205,30 +203,6 @@ class TestSequentialBound:
                 v = full_rank_probability_sequential(RankBoundParams(p=p, l=l, m=m, epsilon=0.95))
                 assert 0.0 <= v.value <= 1.0
                 assert v.valid
-
-
-class TestChernoffBound:
-    def test_pinned_value(self):
-        assert chernoff_row_weight_bound(400, 0.25, 0.5) == pytest.approx(CHERNOFF_400, rel=1e-12)
-
-    def test_small_epsilon_limit(self):
-        assert chernoff_row_weight_bound(100, 0.25, 1e-9) == pytest.approx(1.0, abs=1e-8)
-
-    def test_dominates_empirical_tail(self):
-        # 10^5 Bernoulli(1/4) rows of length 400: weight > 150 is a
-        # +5.8 sigma event, far rarer than the bound's 4.5e-5
-        rng = stream(7, "chernoff-tail")
-        weights = (rng.random((100_000, 400)) < 0.25).sum(axis=1)
-        frac = float((weights > 150).mean())
-        assert frac <= chernoff_row_weight_bound(400, 0.25, 0.5)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            chernoff_row_weight_bound(0, 0.25, 0.5)
-        with pytest.raises(ValueError):
-            chernoff_row_weight_bound(10, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            chernoff_row_weight_bound(10, 0.25, 0.0)
 
 
 class TestMonteCarlo:

@@ -265,7 +265,7 @@ class TestGateOptProgram:
         stage1, stage2 = slice(0, gp.rounds), slice(gp.rounds, None)
         assert not cond[stage1, k:].any() and not flip_bits[stage1, :k].any()
         assert not cond[stage2, :k].any() and not flip_bits[stage2, k:].any()
-        [(masks, patterns, flips, diagonal)] = prog.rows()
+        masks, patterns, flips, diagonal = prog.rows()
         assert masks is prog.masks and patterns is prog.patterns and flips is prog.flips
         assert diagonal.shape == shape[:2] and not diagonal.any()
         # a round flips many sites, so it names no one target
@@ -375,8 +375,7 @@ class TestDepthOptProgram:
     def test_rows_equal_compiled_circuit(self, n, k, t, alpha, m):
         for seed in range(3):
             gp = GenParams(n=n, k=k, t=t, alpha=alpha, m=m, seed=seed)
-            [rows] = depth_opt_program(gp).rows()
-            rows = [a[0] for a in rows]
+            rows = [a[0] for a in depth_opt_program(gp).rows()]
             want = compile_circuit(prmc_depth_opt_reference(gp).layers, words_needed(n))
             assert np.array_equal(rows[0], want.masks)
             assert np.array_equal(rows[1], want.patterns)
@@ -390,8 +389,8 @@ class TestDepthOptProgram:
         stages = depth_opt_stage_count(36, 9, 3) + 1
         assert prog.fired.shape == (1, stages * gp.rounds)
         assert prog.fired[0].tolist() == [len(layer.gates) for layer in ref.layers]
-        # one row per gate, the stages back to back in one segment
-        [(masks, patterns, flips, diagonal)] = prog.rows()
+        # one row per gate, the stages back to back in one row set
+        masks, patterns, flips, diagonal = prog.rows()
         assert masks.shape == patterns.shape == flips.shape == (1, ref.gate_count, 1)
         assert diagonal.shape == prog.targets.shape == (1, ref.gate_count)
         assert not diagonal.any()
@@ -666,7 +665,7 @@ class TestSignThermalizer:
     @pytest.mark.parametrize("n,p,alpha,t,m", [(24, 4, 3.0, 4, 3), (70, 8, 8.0, 4, 3), (16, 16, 4.0, 4, 1)])
     def test_rows_equal_compiled_circuit(self, n, p, alpha, t, m):
         for seed in range(3):
-            [rows] = sign_program(n, p, alpha, t, m, seed).rows()
+            rows = sign_program(n, p, alpha, t, m, seed).rows()
             want = compile_circuit(sign_thermalizer(n, p, alpha, t, m, seed).layers, words_needed(n))
             for got, a in zip(rows, (want.masks, want.patterns, want.flips, want.diagonal)):
                 assert np.array_equal(got[0], a)

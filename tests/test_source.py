@@ -237,7 +237,7 @@ def test_bit_generators_are_built_in_rng_only():
     assert unnamed == [], f"unnamed generators in {unnamed}"
 
 
-KERNEL_CALLS = ("run_steps", "step_program", "pack_block")
+KERNEL_CALLS = ("run_steps", "step_program")
 
 
 def test_only_run_blocks_drives_the_kernel():
@@ -263,6 +263,25 @@ def test_one_process_pool():
         if name and name.partition(".")[0] in ("multiprocessing", "threading")
     ]
     assert imported == [("drivers._map_spans", "multiprocessing")], imported
+
+
+def _tobytes_set(node: ast.AST) -> bool:
+    """A set comprehension, or ``set(...)`` of a generator, that collects
+    ``.tobytes()`` values."""
+    if isinstance(node, ast.Call) and _names(node.func, "set") and node.args:
+        node = node.args[0]
+        if not isinstance(node, ast.GeneratorExp):
+            return False
+    elif not isinstance(node, ast.SetComp):
+        return False
+    return any(isinstance(sub, ast.Call) and _names(sub.func, "tobytes") for sub in ast.walk(node.elt))
+
+
+def test_one_distinctness_rule():
+    # whether copies are pairwise distinct is decided by one sort,
+    # ``copysim.distinct``, not by a set of row bytes per trial
+    found = sorted(where for _, where in _nodes_by_function(_tobytes_set))
+    assert found == [], found
 
 
 # scipy subpackages that take a second or more to import between them;
@@ -294,8 +313,6 @@ UNCALLED = {
     "circuit.ccx_equivalent_count": "perfbench/replica.py imports it until the replica is retraced",
     "copysim.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
     "subsetstate.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
-    "stats.tv_distance": "its unit tests are retired with it in a later change",
-    "f2linalg.chernoff_row_weight_bound": "its unit tests are retired with it in a later change",
 }
 
 

@@ -16,38 +16,9 @@ from subsetphase.stats import (
     sign_vector_test,
     subset_collision_test,
     subset_uniformity_test,
-    tv_distance,
 )
 
 from conftest import apply_gate, frozen_initial_ensembles, oracle_bit_ensembles, oracle_sign_vectors
-
-
-class TestTvDistance:
-    def test_equal_distributions(self):
-        hist = np.array([25, 25, 25, 25])
-        ref = np.full(4, 0.25)
-        assert tv_distance(hist, ref) == 0.0
-
-    def test_disjoint_supports(self):
-        hist = np.array([10, 0])
-        ref = np.array([0.0, 1.0])
-        assert tv_distance(hist, ref) == 1.0
-
-    def test_fair_coin_noise_scale(self):
-        rng = stream(31, "coin")
-        draws = rng.integers(0, 2, size=10_000)
-        hist = np.bincount(draws, minlength=2)
-        tv = tv_distance(hist, np.array([0.5, 0.5]))
-        assert tv < 0.05  # sampling noise ~ 1/sqrt(N)
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ValueError):
-            tv_distance(np.array([1, 2]), np.array([0.5, 0.25, 0.25]))
-        with pytest.raises(ValueError):
-            tv_distance({"a": 1}, {"b": 1.0})
-
-    def test_dict_domains(self):
-        assert tv_distance({"a": 5, "b": 5}, {"a": 0.5, "b": 0.5}) == 0.0
 
 
 def shifted_copies(n, t, trials, seed):
@@ -127,6 +98,17 @@ class TestPairwiseXor:
         ens = oracle_bit_ensembles(8, 1, 1200, master_seed=47)
         with pytest.raises(ValueError):
             pairwise_xor_test(ens)
+
+
+@pytest.mark.parametrize("fold", [marginal_bias_test, pairwise_xor_test], ids=["marginal", "xor"])
+@pytest.mark.parametrize("t,n", [(3, 16), (4, 17)], ids=["t", "n"])
+def test_bit_folds_refuse_mixed_shapes(fold, t, n):
+    # one ensemble of another t or n, past the first chunk of trials; the
+    # odd n keeps one word per copy, so only the shape check can see it
+    ens = oracle_bit_ensembles(16, 4, 1200, master_seed=50)
+    ens[700] = oracle_bit_ensembles(n, t, 1, master_seed=51)[0]
+    with pytest.raises(ValueError, match=r"all ensembles must share \(t, n\)"):
+        fold(ens)
 
 
 class TestSignVector:
