@@ -35,14 +35,8 @@ from .circuit import (
     write_json_atomic,
     write_text_atomic,
 )
-from .copysim import compile_circuit, distinct, round_probes, sample_initial_block, unpack_bits, words_needed
-from .f2linalg import (
-    BitMatrix,
-    RankBoundParams,
-    full_rank_probability_bound,
-    full_rank_probability_sequential,
-    rank,
-)
+from .copysim import compile_circuit, distinct, pack_bits, round_probes, sample_initial_block, unpack_bits, words_needed
+from .f2linalg import RankBoundParams, full_rank_probability_bound, full_rank_probability_sequential, ranks
 from .generators import (
     GenParams,
     depth_opt_cost_profile,
@@ -166,12 +160,12 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
         return None, copies, np.ones((hi - lo, t), dtype=np.int8)
 
     bit_totals = np.zeros((t, n), dtype=np.int64)
-    ranks: list[int] = []
+    x_ranks: list[int] = []
     flags: list[bool] = []
     sign_flip_rate = 0.0
     for _, copies, signs, recorded in drivers.run_blocks(0, trials, draw, t * W, shared=program):
         if probes is not None:
-            ranks += [rank(BitMatrix.from_dense(x)) for x in recorded]
+            x_ranks += ranks(pack_bits(recorded)).tolist()
         bit_totals += unpack_bits(copies, n).sum(axis=0, dtype=np.int64)
         flags += distinct(copies).tolist()
         # added one trial at a time, in trial order: the float sum, and so
@@ -189,8 +183,8 @@ def sim(circuit_path, trials, seed, t_override, diagnostics, report):
         "sign_flip_rate": sign_flip_rate / trials,
     }
     if probes is not None:
-        results["x_ranks"] = ranks
-        results["x_full_rank_frequency"] = sum(1 for r in ranks if r == t) / trials
+        results["x_ranks"] = x_ranks
+        results["x_full_rank_frequency"] = x_ranks.count(t) / trials
     config = {
         "command": "sim",
         "circuit": os.path.basename(circuit_path),

@@ -10,7 +10,9 @@ derives its circuit seeds with one ``rng.block_seeds`` call and reads
 its copy pools through one ``rng.TrialStreams``, one re-keyed ``Philox``
 for the block.  The block is the unit a loop folds, too: ``run_blocks``
 yields its (B, t, W) copies, (B, t) signs and (B, t, R) recorded rows,
-and the loops write or read them as block slices.
+and the loops write or read them as block slices, ranking a block's
+condition matrices, or ``rank-mc``'s Bernoulli matrices read through one
+``rng.TrialStreams``, in one ``f2linalg.ranks`` call.
 
 The sign trials, the bit battery and the full-rank Monte Carlo of
 ``rank-mc`` and ``bounds`` split their trials into contiguous spans, one
@@ -21,6 +23,7 @@ span order, so the results are the same bytes at any core count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,19 +38,13 @@ from .copysim import (
     StepProgram,
     check_initial_shape,
     distinct,
+    pack_bits,
     run_steps,
     sample_initial_block,
     step_program,
     words_needed,
 )
-from .f2linalg import (
-    BitMatrix,
-    MonteCarloEstimate,
-    is_full_row_rank,
-    rank,
-    sample_bernoulli_matrix,
-    wilson_interval,
-)
+from .f2linalg import MonteCarloEstimate, ranks, wilson_interval
 from .generators import (
     GenParams,
     Stage,
@@ -86,13 +83,16 @@ class BitBatteryResult:
 # can hold (mask, pattern and flips) and its copies.  Results do not
 # depend on it: every trial keeps its own streams, and batching is exact.
 _BLOCK_CELLS = 1 << 14
-# A span of trials holds at least this many blocks, or rank-mc trials,
-# which have no blocks: a run too small to fill two spans stays in this
-# process and pays no pool start-up (about 20 ms for two forked workers).
-# At 8, verify's 1000-trial gate-opt battery at n=64, k=24, t=8 (blocks
-# of 56) fills two spans: timed as the first call of fresh launches on 2
-# vCPUs it took 0.16-0.21 s as two spans against 0.19-0.31 s as one.
+# A span of trials holds at least this many blocks: a run too small to
+# fill two spans stays in this process and pays no pool start-up (about
+# 20 ms for two forked workers).  At 8, verify's 1000-trial gate-opt
+# battery at n=64, k=24, t=8 (blocks of 56) fills two spans: timed as the
+# first call of fresh launches on 2 vCPUs it took 0.16-0.21 s as two
+# spans against 0.19-0.31 s as one.
 _SPAN_BLOCKS = 8
+# rank-mc trials a span holds at least, and a block at most: 10^4 trials
+# at p=0.25 on one core took 0.12 s (16x64) and 0.23 s (24x96) in blocks of
+# 64, 0.24 s and 0.42 s in blocks of 16, and 0.10 s and 0.21 s in 256.
 _RANK_SPAN_TRIALS = 64
 
 
@@ -181,7 +181,7 @@ def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     program = gate_opt_program if algorithm == "gate-opt" else depth_opt_program
     n, k, t = base.n, base.k, base.t
     finals = np.zeros((hi - lo, t, words_needed(n)), dtype=np.uint64)
-    ranks = np.zeros(hi - lo if record else 0, dtype=np.int64)
+    x_ranks = np.zeros(hi - lo if record else 0, dtype=np.int64)
     ccx = np.zeros(hi - lo, dtype=np.int64)
     per_gate_ccx = ccx_ladder_count(base.m)
 
@@ -195,8 +195,8 @@ def _bit_span(span: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         block = slice(a - lo, a - lo + len(copies))
         finals[block] = copies
         if record:
-            ranks[block] = [rank(BitMatrix.from_dense(x)) for x in recorded]
-    return finals, ranks, ccx
+            x_ranks[block] = ranks(pack_bits(recorded))
+    return finals, x_ranks, ccx
 
 
 def run_bit_battery(
@@ -236,12 +236,12 @@ def run_bit_battery(
     spans = _map_spans(
         _bit_span, (algorithm, base, record, words, master_seed), trials, _SPAN_BLOCKS * _block_trials(words)
     )
-    finals, ranks, ccx = (np.concatenate(parts) for parts in zip(*spans))
+    finals, x_ranks, ccx = (np.concatenate(parts) for parts in zip(*spans))
     signs = np.ones((trials, t), dtype=np.int8)
     return BitBatteryResult(
         ensembles=[CopyEnsemble(n, c, s, check=False) for c, s in zip(finals, signs)],
-        x_full_rank=(ranks == t).tolist(),
-        x_ranks=ranks.tolist(),
+        x_full_rank=(x_ranks == t).tolist(),
+        x_ranks=x_ranks.tolist(),
         distinct=distinct(finals).tolist(),
         ccx_counts=ccx.tolist(),
     )
@@ -417,13 +417,28 @@ def run_moment_experiment(
 
 
 def _mc_rank_span(span: tuple[int, int, float, int, int, int]) -> int:
-    """Full-rank hits over one contiguous span of trial streams."""
+    """Full-rank hits over trials lo .. hi-1, a block of trial streams at
+    a time: ``_RANK_SPAN_TRIALS`` trials, or fewer where their words would
+    pass ``64 * _BLOCK_CELLS``, at least one.
+
+    Trial i's matrix is the first rows * cols words w of stream
+    ("rank-mc", i), cut as (w >> 11) * 2^-53 < p, which is what
+    ``stream(master_seed, "rank-mc", i).random((rows, cols)) < p`` reads
+    (``rng`` docstring); w >> 11 is an integer, so that is exactly
+    (w >> 11) < ceil(p * 2^53).  A rank is at most ``cols``, so a trial
+    with more rows than columns is never full.
+    """
     rows, cols, p, master_seed, lo, hi = span
+    size = max(1, min(_RANK_SPAN_TRIALS, 64 * _BLOCK_CELLS // max(1, rows * cols)))
+    cut = np.uint64(math.ceil(p * 2.0**53))
     hits = 0
-    for i in range(lo, hi):
-        m = sample_bernoulli_matrix(rows, cols, p, stream(master_seed, "rank-mc", i))
-        if is_full_row_rank(m):
-            hits += 1
+    for a in range(lo, hi, size):
+        b = min(hi, a + size)
+        words = TrialStreams(master_seed, "rank-mc", a, b).words(rows * cols)
+        words >>= np.uint64(11)
+        bits = (words < cut).reshape(b - a, rows, cols)
+        del words  # else it lives on while the next block's words are read
+        hits += int((ranks(pack_bits(bits)) == rows).sum())
     return hits
 
 

@@ -1,9 +1,10 @@
 """Bit-packed linear algebra over GF(2) and full-rank probability bounds.
 
-Rows are stored as Python integers (column j lives in bit j), so a row
-XOR is a single arbitrary-precision word operation.  That keeps Gaussian
-elimination fast enough for exhaustive small-shape sweeps and for rank
-calls inside Monte Carlo loops with 10^4+ trials.
+Every GF(2) rank is one elimination, ``ranks``, vectorised over a batch
+of matrices whose rows are packed into uint64 words (column j in bit
+j % 64 of word j // 64, as ``copysim.pack_bits`` packs), so a block of
+trials is ranked in one call.  ``BitMatrix`` holds one matrix as
+Python-integer rows, for the single-matrix ``rank``.
 """
 
 from __future__ import annotations
@@ -48,26 +49,6 @@ class BitMatrix:
         rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return cls(a.shape[0], a.shape[1], rows)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.row_ints):
-            for j in range(self.cols):
-                out[i, j] = (r >> j) & 1
-        return out
-
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_ints):
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(self.cols, self.rows, cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -80,22 +61,39 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def ranks(rows: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of a batch of (..., r, W) uint64 packed rows, as a
+    (...) int64 array; ``rows`` is not modified.
+
+    Row i, once every earlier pivot row is XORed out of it, pivots on its
+    lowest set bit, or is zero; it is then XORed into every later row
+    that has that bit set.  The rank counts the nonzero pivot rows.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    *lead, r, W = rows.shape
+    out = np.zeros(lead, dtype=np.int64)
+    if r == 0 or W == 0 or out.size == 0:
+        return out
+    a = rows.reshape(-1, r, W).copy()
+    batch = np.arange(len(a))
+    flat = out.reshape(-1)
+    for i in range(r):
+        row = a[:, i]
+        word = (row != 0).argmax(axis=1)
+        bit = row[batch, word]
+        bit &= ~bit + np.uint64(1)
+        flat += bit != 0
+        later = a[:, i + 1 :]
+        hit = (later[batch, :, word] & bit[:, None]) != 0
+        later ^= np.where(hit[..., None], row[:, None], np.uint64(0))
+    return out
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank via elimination on packed rows; ``m`` is not modified."""
-    # Pivot on the highest set bit of each incoming row; `pivots` maps a
-    # bit position to the stored row owning that pivot.
-    pivots: dict[int, int] = {}
-    r = 0
-    for v in m.row_ints:
-        while v:
-            b = v.bit_length() - 1
-            piv = pivots.get(b)
-            if piv is None:
-                pivots[b] = v
-                r += 1
-                break
-            v ^= piv
-    return r
+    """GF(2) row rank of one matrix, through ``ranks``."""
+    W = -(-m.cols // 64)
+    packed = b"".join(v.to_bytes(8 * W, "little") for v in m.row_ints)
+    return int(ranks(np.frombuffer(packed, dtype="<u8").reshape(m.rows, W)))
 
 
 def is_full_row_rank(m: BitMatrix) -> bool:
@@ -104,19 +102,7 @@ def is_full_row_rank(m: BitMatrix) -> bool:
     More rows than columns cannot be full row rank; that case returns
     False rather than raising, so sweeps over odd shapes stay total.
     """
-    return m.rows <= m.cols and rank(m) == m.rows
-
-
-def sample_bernoulli_matrix(rows: int, cols: int, p: float, rng: np.random.Generator) -> BitMatrix:
-    """Matrix with i.i.d. entries, each 1 with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if rows == 0 or cols == 0:
-        return BitMatrix.zeros(rows, cols)
-    bits = rng.random((rows, cols)) < p
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    row_ints = [int.from_bytes(packed[i].tobytes(), "little") for i in range(rows)]
-    return BitMatrix(rows, cols, row_ints)
+    return rank(m) == m.rows
 
 
 @dataclass(frozen=True)

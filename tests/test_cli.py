@@ -252,6 +252,25 @@ class TestSim:
             assert f"error: layer {layer} gate 0: {message}" in res.stderr
             assert not rep.exists()
 
+    @pytest.mark.parametrize("stages", [(), (2,)], ids=["no-rounds", "stage-2-only"])
+    def test_rank_diagnostics_without_stage_1_rounds(self, tmp_path, stages):
+        # no stage-1 round records no column: every rank is 0, and so is
+        # the full-rank frequency
+        circ = tmp_path / "c.json"
+        rep = tmp_path / "r.json"
+        run_cli(*GEN_SMALL, "--out", str(circ))
+        obj = read_json(circ)
+        obj["metadata"]["rounds"] = [r for r in obj["metadata"]["rounds"] if r["stage"] in stages]
+        assert len(obj["metadata"]["rounds"]) == 4 * len(stages)
+        circ.write_text(json.dumps(obj))
+        res = CliRunner().invoke(cli.cli, [
+            "sim", "--circuit", str(circ), "--trials", "7", "--diagnostics", "rank", "--report", str(rep),
+        ])
+        assert res.exit_code == 0, (res.output, res.exception)
+        results = read_json(rep)["results"]
+        assert results["x_ranks"] == [0] * 7
+        assert results["x_full_rank_frequency"] == 0.0
+
     def test_unreadable_circuit_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -280,6 +299,18 @@ class TestRankMc:
         lines = out.read_text().splitlines()
         assert lines[0] == "rows,cols,p,trials,estimate,ci_lo,ci_hi,seed"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "rows,cols,estimate", [(0, 5, 1.0), (2, 0, 0.0), (5, 3, 0.0)], ids=["no-rows", "no-cols", "rows-past-cols"]
+    )
+    def test_zero_size_and_tall_shapes(self, tmp_path, rows, cols, estimate):
+        # no rows is full row rank; more rows than columns never is
+        out = tmp_path / "mc.json"
+        res = CliRunner().invoke(cli.cli, [
+            "rank-mc", "--rows", str(rows), "--cols", str(cols), "--p", "0.5", "--trials", "50", "--out", str(out),
+        ])
+        assert res.exit_code == 0, (res.output, res.exception)
+        assert read_json(out)["results"]["estimate"] == estimate
 
     def test_threads_reproduce_single_process(self, monkeypatch, tmp_path, pools):
         # rank-mc runs on every core of the affinity mask; in this process,

@@ -18,8 +18,7 @@ from subsetphase.copysim import (
     unpack_bits,
     words_needed,
 )
-from subsetphase.f2linalg import rank
-from subsetphase.f2linalg import BitMatrix
+from subsetphase.f2linalg import BitMatrix, rank
 from subsetphase.generators import (
     GenParams,
     depth_opt_thermalizer,
@@ -295,7 +294,7 @@ class TestApplyCircuit:
                         naive = apply_gate(naive, g)
             assert stepped == naive
             want = np.stack(columns, axis=1) if columns else np.zeros((6, 0), dtype=bool)
-            assert np.array_equal(x.to_dense(), want)
+            assert x == BitMatrix.from_dense(want)
 
     def test_shared_condition_runs_in_one_step(self):
         # same condition, many targets in a row, including a repeated

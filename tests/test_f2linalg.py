@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsetphase import drivers
+from subsetphase.copysim import pack_bits, unpack_bits
 from subsetphase.f2linalg import (
     BitMatrix,
     RankBoundParams,
@@ -13,7 +15,7 @@ from subsetphase.f2linalg import (
     full_rank_probability_sequential,
     is_full_row_rank,
     rank,
-    sample_bernoulli_matrix,
+    ranks,
     wilson_interval,
 )
 from subsetphase.drivers import monte_carlo_full_rank_streamed
@@ -38,7 +40,7 @@ class TestRank:
         assert rank(bm(["100", "010", "001"])) == 3
 
     def test_zero_matrix(self):
-        assert rank(BitMatrix.zeros(4, 6)) == 0
+        assert rank(BitMatrix(4, 6, [0] * 4)) == 0
 
     def test_duplicate_row(self):
         assert rank(bm(["110", "110", "011"])) == 2
@@ -53,19 +55,22 @@ class TestRank:
         assert m.row_ints == before
 
     def test_exhaustive_small_shapes(self):
-        # all matrices with rows*cols <= 10; the full sweep up to 16 bits
-        # runs in the acceptance suite
+        # all matrices with rows*cols <= 10, one ``ranks`` call per shape;
+        # the full sweep up to 16 bits runs in the acceptance suite
         for r in range(1, 11):
             for c in range(1, 10 // r + 1):
-                for rows in product(range(1 << c), repeat=r):
-                    assert rank(BitMatrix(r, c, list(rows))) == span_rank(list(rows))
+                mats = list(product(range(1 << c), repeat=r))
+                got = ranks(np.array(mats, dtype=np.uint64).reshape(-1, r, 1))
+                assert got.tolist() == [span_rank(list(rows)) for rows in mats]
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**36 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_transpose_preserves_rank(self, r, c, packed):
-        rows = [(packed >> (i * c)) & ((1 << c) - 1) for i in range(r)]
-        m = BitMatrix(r, c, rows)
-        assert rank(m) == rank(m.transpose())
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_transpose_preserves_rank(self, r, c, seed):
+        rng = stream(seed, "transpose")
+        bits = rng.random((8, r, c)) < rng.random()
+        got = ranks(pack_bits(bits))
+        assert got.tolist() == ranks(pack_bits(bits.swapaxes(-1, -2))).tolist()
+        assert (got <= min(r, c)).all()
 
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2**36 - 1), st.data())
     @settings(max_examples=150, deadline=None)
@@ -98,32 +103,113 @@ class TestFullRowRank:
         for _ in range(200):
             r = int(rng.integers(1, 7))
             c = int(rng.integers(r, 9))
-            m = sample_bernoulli_matrix(r, c, 0.4, rng)
+            m = BitMatrix.from_dense(rng.random((r, c)) < 0.4)
             assert is_full_row_rank(m) == (rank(m) == r)
 
 
-class TestBernoulliSampler:
-    def test_p_zero(self):
-        m = sample_bernoulli_matrix(5, 7, 0.0, stream(0, "b0"))
-        assert m.row_ints == [0] * 5
+class TestRanks:
+    """The batched elimination every rank runs through."""
 
-    def test_p_one(self):
-        m = sample_bernoulli_matrix(5, 7, 1.0, stream(0, "b1"))
-        assert m.row_ints == [(1 << 7) - 1] * 5
+    @pytest.mark.parametrize("r,c", [(5, 130), (70, 40), (66, 130), (9, 3), (64, 64)])
+    def test_matches_known_rank_across_words(self, r, c):
+        # three words a row at c = 130, more rows than a word at r > 64,
+        # and more rows than columns, batched and one matrix at a time.
+        # L @ E @ U has rank k when E holds a k x k identity and L, U are
+        # unit triangular, so invertible
+        rng = stream(31, "ranks", r, c)
+        want = [0, 1, min(r, c) // 2, min(r, c) - 1, min(r, c)]
+        bits = []
+        for k in want:
+            L = np.tril(rng.integers(0, 2, (r, r)), -1) + np.eye(r, dtype=np.int64)
+            U = np.triu(rng.integers(0, 2, (c, c)), 1) + np.eye(c, dtype=np.int64)
+            E = np.zeros((r, c), dtype=np.int64)
+            E[range(k), range(k)] = 1
+            bits.append(L @ E @ U % 2)
+        assert ranks(pack_bits(np.array(bits))).tolist() == want
+        assert [rank(BitMatrix.from_dense(x)) for x in bits] == want
 
-    def test_mean_density(self):
-        m = sample_bernoulli_matrix(1000, 1000, 0.25, stream(42, "bmean"))
-        ones = sum(r.bit_count() for r in m.row_ints)
-        assert abs(ones / 1_000_000 - 0.25) < 0.005
+    def test_leading_axes_keep_their_shape(self):
+        bits = stream(32, "lead").random((2, 3, 4, 5, 70)) < 0.5
+        got = ranks(pack_bits(bits))
+        assert got.shape == (2, 3, 4) and got.dtype == np.int64
+        assert got.reshape(-1).tolist() == ranks(pack_bits(bits.reshape(-1, 5, 70))).tolist()
+        assert ranks(pack_bits(bits[0, 0, 0])).shape == ()
+        assert int(ranks(pack_bits(bits[0, 0, 0]))) == got[0, 0, 0]
 
-    def test_deterministic(self):
-        a = sample_bernoulli_matrix(8, 8, 0.3, stream(9, "det"))
-        b = sample_bernoulli_matrix(8, 8, 0.3, stream(9, "det"))
-        assert a == b
+    @pytest.mark.parametrize("shape", [(4, 0, 2), (4, 3, 0), (0, 3, 2), (0, 0, 0), (2, 0, 3, 1)])
+    def test_empty_shapes(self, shape):
+        # no rows, no column words, or no matrices: every rank is 0
+        got = ranks(np.ones(shape, dtype=np.uint64))
+        assert got.shape == shape[:-2] and not got.any()
 
-    def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            sample_bernoulli_matrix(2, 2, 1.5, stream(0, "bad"))
+    def test_input_unchanged(self):
+        rows = pack_bits(stream(33, "same").random((16, 12, 100)) < 0.5)
+        before = rows.copy()
+        ranks(rows)
+        assert np.array_equal(rows, before)
+
+
+class TestRankMcBlocks:
+    """``rank-mc``'s trials, read a block of trial streams at a time."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_block_bits_replay_generator(self, monkeypatch, p):
+        # every trial's matrix is what a fresh Generator on its stream
+        # draws, ``random((rows, cols)) < p``, whatever block it sits in
+        rows, cols, seed, lo, hi = 5, 70, 9, 3, 150
+        seen = []
+        monkeypatch.setattr(drivers, "ranks", lambda words: seen.append(words) or ranks(words))
+        monkeypatch.setattr(drivers, "_RANK_SPAN_TRIALS", 64)
+        hits = drivers._mc_rank_span((rows, cols, p, seed, lo, hi))
+        assert [len(words) for words in seen] == [64, 64, 19]
+        got = unpack_bits(np.concatenate(seen), cols).astype(bool)
+        want = np.stack([stream(seed, "rank-mc", i).random((rows, cols)) < p for i in range(lo, hi)])
+        assert np.array_equal(got, want)
+        assert hits == sum(span_rank(BitMatrix.from_dense(x).row_ints) == rows for x in want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.3, 0.5, 1.0])
+    def test_cut_at_its_boundary(self, monkeypatch, p):
+        # words whose top 53 bits sit just below, at and just above
+        # p * 2^53 are cut as ``Generator.random`` cuts them:
+        # (w >> 11) * 2^-53 < p
+        edge = math.ceil(p * 2**53)
+        top = np.array([min(max(v, 0), 2**53 - 1) for v in (edge - 1, edge, edge + 1, 0, 2**53)], dtype=np.uint64)
+        words = (top << np.uint64(11)) | np.array([0, 2047, 5, 1, 2047], dtype=np.uint64)
+
+        class Fixed:
+            """Every trial's stream starts with ``words``."""
+
+            def __init__(self, master_seed, tag, lo, hi):
+                self.trials = hi - lo
+
+            def words(self, count):
+                return np.tile(words[:count], (self.trials, 1))
+
+        seen = []
+        monkeypatch.setattr(drivers, "TrialStreams", Fixed)
+        monkeypatch.setattr(drivers, "ranks", lambda w: seen.append(w) or ranks(w))
+        drivers._mc_rank_span((1, 5, p, 0, 0, 2))
+        got = unpack_bits(np.concatenate(seen), 5)[:, 0].astype(bool)
+        assert got.tolist() == [((words >> np.uint64(11)) * 2.0**-53 < p).tolist()] * 2
+
+    def test_blocks_stay_under_the_word_cap(self, monkeypatch):
+        # a block's raw words stay within 64 * _BLOCK_CELLS, at least one
+        # trial a block, and the estimate does not depend on block size
+        sizes = []
+        monkeypatch.setattr(drivers, "ranks", lambda words: sizes.append(len(words)) or ranks(words))
+        monkeypatch.setattr(drivers, "_BLOCK_CELLS", 8)
+        first = drivers._mc_rank_span((4, 40, 0.3, 5, 0, 20))
+        assert sizes == [3] * 6 + [2]
+        sizes.clear()
+        drivers._mc_rank_span((30, 30, 0.3, 5, 0, 2))  # 900 words a trial
+        assert sizes == [1, 1]
+        monkeypatch.setattr(drivers, "_BLOCK_CELLS", 1 << 14)
+        assert drivers._mc_rank_span((4, 40, 0.3, 5, 0, 20)) == first
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_rejects_bad_p(self, p):
+        with pytest.raises(ValueError, match="p must lie"):
+            monte_carlo_full_rank_streamed(2, 2, p, 10, 0)
 
 
 class TestRankBoundParams:
@@ -255,13 +341,15 @@ class TestWilson:
 class TestBitMatrixBasics:
     def test_dense_roundtrip(self):
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        assert np.array_equal(BitMatrix.from_dense(a).to_dense(), a)
+        m = BitMatrix.from_dense(a)
+        assert m == BitMatrix(2, 3, [0b101, 0b110])
+        assert np.array_equal([[(v >> j) & 1 for j in range(m.cols)] for v in m.row_ints], a)
 
     def test_from_dense_packs_column_j_into_bit_j(self):
         a = stream(19, "dense").integers(0, 2, size=(5, 70), dtype=np.uint8)
         m = BitMatrix.from_dense(a)
         assert m.row_ints == [sum(int(b) << j for j, b in enumerate(row)) for row in a]
-        assert BitMatrix.from_dense(np.zeros((3, 0), dtype=bool)) == BitMatrix.zeros(3, 0)
+        assert BitMatrix.from_dense(np.zeros((3, 0), dtype=bool)) == BitMatrix(3, 0, [0] * 3)
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):

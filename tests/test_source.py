@@ -173,6 +173,67 @@ def test_trial_blocks_open_no_stream_per_trial():
     assert per_trial == [], per_trial
 
 
+def _xor(node: ast.AST) -> bool:
+    return (
+        isinstance(node, (ast.AugAssign, ast.BinOp)) and isinstance(node.op, ast.BitXor)
+    ) or (isinstance(node, ast.Attribute) and node.attr == "bitwise_xor")
+
+
+def _in_loops(path: Path, match) -> list[tuple[str, ast.AST]]:
+    """Every node of ``path`` that ``match`` accepts and that sits in a
+    loop or comprehension of its innermost function, with that function
+    as "module.outer.inner"."""
+    found = []
+
+    def walk(node, scope, depth):
+        if depth and match(node):
+            found.append((scope, node))
+        function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        inner = f"{scope}.{node.name}" if function else scope
+        for child in ast.iter_child_nodes(node):
+            walk(child, inner, 0 if function else depth + isinstance(node, LOOPS))
+
+    walk(ast.parse(path.read_text(), filename=str(path)), path.stem, 0)
+    return found
+
+
+def test_one_gf2_elimination():
+    # a rank is one batched elimination, ``f2linalg.ranks``: the only
+    # loop of ``src/`` that XORs, beside the kernel applying its flips.
+    # ``rank`` of one matrix calls it, and every other caller hands it a
+    # block of trials
+    xors = sorted({where for path in SOURCES for where, _ in _in_loops(path, _xor)})
+    assert xors == ["copysim.run_steps", "f2linalg.ranks"], xors
+    callers = sorted(where for _, where in _calls_by_function("ranks"))
+    assert callers == ["cli.sim", "drivers._bit_span", "drivers._mc_rank_span", "f2linalg.rank"], callers
+
+
+# the single-matrix rank calls and the per-trial openers
+PER_TRIAL_CALLS = ("rank", "from_dense", "is_full_row_rank", "stream", "derive_seed")
+# loops of ``drivers`` and ``cli`` that may make one, each with its reason
+LOOPED_CALLS = {
+    ("cli.bounds", "derive_seed"): "one Monte Carlo seed per grid point, not per trial",
+    ("cli.scaling", "derive_seed"): "one cost-profile seed per grid point, not per trial",
+    ("drivers.run_moment_experiment.oracle_states", "stream"): "the oracle sampler draws through a Generator",
+}
+
+
+def test_no_rank_or_stream_per_trial_in_drivers_or_cli():
+    # trials are ranked and read a block at a time: no loop or
+    # comprehension of ``drivers`` or ``cli`` ranks one matrix, packs one
+    # into a ``BitMatrix``, opens a stream or derives a seed, but for the
+    # listed loops, which are not over trials
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    found = {
+        (where, called(node))
+        for path in (SRC / "subsetphase" / "drivers.py", SRC / "subsetphase" / "cli.py")
+        for where, node in _in_loops(path, lambda node: isinstance(node, ast.Call) and called(node) in PER_TRIAL_CALLS)
+    }
+    assert sorted(found) == sorted(LOOPED_CALLS), sorted(found)
+
+
 def test_one_program_type():
     # every generator draws one array form, its kernel rows packed at
     # draw time: only the program functions pack or compact rows
@@ -308,10 +369,11 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
 # module-level functions of ``src/`` that nothing there calls, each with
 # the reason it stays; the test fails when one gains a caller, too
 UNCALLED = {
-    "analysis.success_bound_ccx": "the full-rank verdicts are to report it (ROADMAP item 3)",
-    "analysis.success_bound_mcx": "the full-rank verdicts are to report it (ROADMAP item 3)",
+    "analysis.success_bound_ccx": "the full-rank verdicts are to report it (ROADMAP item 9)",
+    "analysis.success_bound_mcx": "the full-rank verdicts are to report it (ROADMAP item 9)",
     "circuit.ccx_equivalent_count": "perfbench/replica.py imports it until the replica is retraced",
     "copysim.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
+    "f2linalg.is_full_row_rank": "perfbench/replica.py imports it until the replica is retraced",
     "subsetstate.apply_circuit": "perfbench/replica.py imports it until the replica is retraced",
 }
 
